@@ -199,8 +199,11 @@ def _load_object(cfg: RunConfig):
 
 
 def _thread_count(trials: int) -> int:
-    env = os.environ.get("FRAMEFLOW_THREADS", "")
-    cap = int(env) if env.strip() else (os.cpu_count() or 1)
+    env = os.environ.get("FRAMEFLOW_THREADS", "").strip()
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise UsageError(f"FRAMEFLOW_THREADS must be an integer, not {env!r}") from None
     return max(1, min(trials, cap))
 
 

@@ -15,12 +15,18 @@ The flowed objects and their derivatives:
 
 Along every flow  ds/dt = -2 delta  and  ddelta/dt = -4 * speed^2, where
 speed is the Frobenius velocity of the flowed object; both monitored values
-are recorded analytically at every accepted step.
+are recorded analytically at every sample.
 
-Integration is classical RK4 with step-doubling: a step is accepted when the
-doubled-step error estimate is <= step_err_tol and the relative change of
-delta is <= rel_delta_step.  Retained samples are thinned to at most
-max_samples by doubling the record stride.
+Integration is classical RK4 with step doubling.  A step is accepted when
+the doubled-step error estimate is <= step_err_tol and delta did not grow
+over it (delta is a Lyapunov function of every flow); the error estimate
+alone then sets the next step.  Sampling never steers the integration:
+between two accepted steps, the recorded samples come from cubic Hermite
+interpolation on each half step (dense output), on a uniform time grid fine
+enough that consecutive samples differ in delta by at most rel_delta_step.
+Under fixed_step every step is accepted and recorded, with no interpolated
+samples.  Retained samples are thinned to at most max_samples by doubling
+the record stride.
 """
 
 from __future__ import annotations
@@ -42,20 +48,25 @@ class FlowError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowOptions:
-    rel_delta_step: float = 0.05      # max relative delta change per step
-    step_err_tol: float = 1e-8        # step-doubling error estimate bound
+    rel_delta_step: float = 0.05      # max relative delta change between samples
+    step_err_tol: float = 1e-8        # step-doubling error bound; sizes each step
     max_samples: int = 10_000         # retained-sample cap (stride doubling)
     record_states: bool = False       # keep per-sample FlowState objects
     record_scalings: bool = False     # keep per-sample (X, Y) transforms
     fixed_step: float | None = None   # disable adaptivity (diagnostics)
     h0: float | None = None           # initial step override
 
+    def __post_init__(self):
+        if not self.rel_delta_step > 0.0:
+            raise ValueError("rel_delta_step must be positive")
+
 
 def validation_options(**overrides) -> FlowOptions:
     """Recording profile fine enough for the finite-difference identity
     checks on trajectories (derivative-identity residuals are quadratic in
-    the step, so the default 5% delta step is too coarse for them)."""
-    base = dict(rel_delta_step=0.002, step_err_tol=1e-10, max_samples=40_000)
+    the sample spacing, so the default 5% delta spacing is too coarse for
+    them)."""
+    base = dict(rel_delta_step=0.0016, step_err_tol=1e-10, max_samples=40_000)
     base.update(overrides)
     return FlowOptions(**base)
 
@@ -87,6 +98,10 @@ class Trajectory:
     kappa_ratio: float         # max/min diagonal scaling over the run (nan if none)
     scale_max: float
     scale_min: float
+    steps: int                 # accepted steps
+    rejected_err: int          # steps rejected by the error estimate
+    rejected_delta: int        # steps rejected because delta grew
+    evals: int                 # right-hand-side evaluations
     states: list[FlowState] | None = None
     scalings: list[tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -114,10 +129,28 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 # ---------------------------------------------------------------------------
-# flow systems: pack the integrated quantities into one flat vector
+# flow systems: pack the integrated quantities into one flat vector whose
+# last entry is the arc length travelled by the flowed object
 
 
-class _OperatorSystem:
+class _System:
+    """Glue shared by the three flow systems."""
+
+    evals = 0
+
+    def f(self, y):
+        """Right-hand side, counted."""
+        self.evals += 1
+        return self.deriv(y)
+
+    def movement(self, y):
+        return float(y[-1])
+
+    def scaling_pair(self, y):
+        return make_scaling_pair(*self.transforms(y))
+
+
+class _OperatorSystem(_System):
     kind = "operator"
 
     def __init__(self, op: OperatorTuple):
@@ -162,9 +195,6 @@ class _OperatorSystem:
         speed2 = float(np.einsum("kmn,kmn->", du, du))
         return s, delta, speed2
 
-    def delta(self, y):
-        return self.measures(y)[1]
-
     def logdets(self, y):
         _, x, yy = self._parts(y)
         return float(np.linalg.slogdet(x)[1]), float(np.linalg.slogdet(yy)[1])
@@ -176,19 +206,12 @@ class _OperatorSystem:
         _, x, yy = self._parts(y)
         return x.copy(), yy.copy()
 
-    def movement(self, y):
-        return float(y[-1])
-
     def obj(self, y):
         u, _, _ = self._parts(y)
         return OperatorTuple(u.copy())
 
-    def scaling_pair(self, y):
-        x, yy = self.transforms(y)
-        return make_scaling_pair(x, yy)
 
-
-class _FrameSystem:
+class _FrameSystem(_System):
     kind = "frame"
 
     def __init__(self, fr: Frame):
@@ -233,9 +256,6 @@ class _FrameSystem:
         speed2 = float(np.einsum("nd,nd->", du, du))
         return s, delta, speed2
 
-    def delta(self, y):
-        return self.measures(y)[1]
-
     def logdets(self, y):
         _, x, ylog = self._parts(y)
         return float(np.linalg.slogdet(x)[1]), float(ylog.sum())
@@ -248,19 +268,12 @@ class _FrameSystem:
         _, x, ylog = self._parts(y)
         return x.copy(), np.diag(np.exp(ylog))
 
-    def movement(self, y):
-        return float(y[-1])
-
     def obj(self, y):
         u, _, _ = self._parts(y)
         return Frame(u.copy())
 
-    def scaling_pair(self, y):
-        x, yy = self.transforms(y)
-        return make_scaling_pair(x, yy)
 
-
-class _MatrixSystem:
+class _MatrixSystem(_System):
     """Flow of the squared entries M on their support, in log domain."""
 
     kind = "matrix"
@@ -307,9 +320,6 @@ class _MatrixSystem:
         speed2 = float(np.sum(rate * rate * mm))
         return s, delta, speed2
 
-    def delta(self, y):
-        return self.measures(y)[1]
-
     def logdets(self, y):
         return float(y[self.sl_l: self.sl_x].sum()), float(y[self.sl_x: self.sl_y].sum())
 
@@ -322,27 +332,64 @@ class _MatrixSystem:
         return (np.diag(np.exp(y[self.sl_l: self.sl_x])),
                 np.diag(np.exp(y[self.sl_x: self.sl_y])))
 
-    def movement(self, y):
-        return float(y[-1])
-
     def obj(self, y):
         return NonNegMatrix(self._mat(y))
-
-    def scaling_pair(self, y):
-        x, yy = self.transforms(y)
-        return make_scaling_pair(x, yy)
 
 
 # ---------------------------------------------------------------------------
 # integrator
 
 
-def _rk4(system, y, h):
-    k1 = system.deriv(y)
-    k2 = system.deriv(y + 0.5 * h * k1)
-    k3 = system.deriv(y + 0.5 * h * k2)
-    k4 = system.deriv(y + h * k3)
+def _rk4(system, y, k1, h):
+    """One RK4 step from y, whose derivative k1 the caller supplies."""
+    k2 = system.f(y + 0.5 * h * k1)
+    k3 = system.f(y + 0.5 * h * k2)
+    k4 = system.f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _hermite(th, h, ya, fa, yb, fb):
+    """Cubic Hermite interpolant of (ya, fa) and (yb, fb) a time h apart,
+    at the fraction th of the interval."""
+    return (ya + th * th * (3.0 - 2.0 * th) * (yb - ya)
+            + h * th * (1.0 - th) * ((1.0 - th) * fa - th * fb))
+
+
+def _dense_samples(system, t, h, ends, meas_a, meas_b, rel):
+    """Samples strictly inside the accepted step [t, t + h], as (t, y,
+    measures) triples.  ends = (y, f(y), y_half, f(y_half), y_two, f(y_two))
+    holds the step's start, midpoint and end states with their derivatives,
+    and meas_a, meas_b the measures at its start and end; each half step is
+    interpolated by its own cubic.  The grid is uniform in time.  Its size
+    is first estimated from the decay rate of delta at the step's ends, but
+    from at most twice the drop of log delta over the step, then raised
+    until consecutive deltas, the end points included, differ by at most the
+    relative amount rel.  On an exact flow delta strictly decreases, so a
+    grid along which it does not has reached the roundoff floor of delta:
+    there the rates and the spacing measure only noise, and the grid is kept
+    as it is."""
+    (_, delta_a, speed2_a), (_, delta_b, speed2_b) = meas_a, meas_b
+    if not 0.0 < delta_b < delta_a or rel >= 1.0:
+        return []
+    y, fy, y_half, f_half, y_two, f_two = ends
+    drop = math.log(delta_a / delta_b)
+    drop_at_end_rate = 4.0 * h * max(speed2_a / delta_a, speed2_b / delta_b)
+    cells = math.ceil(min(max(drop, drop_at_end_rate), 2.0 * drop) / -math.log1p(-rel))
+    while cells > 1:
+        theta = np.arange(1, cells) / cells
+        states = [
+            _hermite(2.0 * th, 0.5 * h, y, fy, y_half, f_half) if th <= 0.5
+            else _hermite(2.0 * th - 1.0, 0.5 * h, y_half, f_half, y_two, f_two)
+            for th in theta
+        ]
+        meas = [system.measures(v) for v in states]
+        deltas = np.array([delta_a] + [m[1] for m in meas] + [delta_b])
+        changes = np.diff(deltas)
+        worst = float(np.max(-changes / deltas[:-1]))
+        if worst <= rel or np.any(changes >= 0.0):
+            return list(zip(t + theta * h, states, meas))
+        cells = max(cells + 1, math.ceil(cells * worst / rel))
+    return []
 
 
 class _Recorder:
@@ -356,11 +403,12 @@ class _Recorder:
         self.stride = 1
         self.count = 0
 
-    def add(self, system, y, t, force=False):
+    def add(self, system, y, t, meas, force=False):
+        """Record the point y at time t; meas = system.measures(y)."""
         self.count += 1
         if not force and (self.count - 1) % self.stride != 0:
             return
-        s, delta, speed2 = system.measures(y)
+        s, delta, speed2 = meas
         ldx, ldy = system.logdets(y)
         self.rows.append((t, s, delta, -2.0 * delta, -4.0 * speed2,
                           system.movement(y), ldx, ldy))
@@ -381,23 +429,25 @@ class _Recorder:
 def _integrate(system, target_delta, t_max, opts: FlowOptions):
     y = system.y0.copy()
     t = 0.0
-    s0, delta0, speed2 = system.measures(y)
-    if not (math.isfinite(s0) and math.isfinite(delta0)):
+    meas = system.measures(y)
+    s0, delta_cur, speed2 = meas
+    if not (math.isfinite(s0) and math.isfinite(delta_cur)):
         raise FlowError("non-finite input")
     if target_delta is None:
         target_delta = 1e-12 * s0 * s0
 
     rec = _Recorder(opts.max_samples, opts.record_states, opts.record_scalings)
-    rec.add(system, y, t)
+    rec.add(system, y, t, meas)
 
     scalings = system.diag_scalings(y)
     scale_max = float(scalings.max()) if scalings is not None else math.nan
     scale_min = float(scalings.min()) if scalings is not None else math.nan
 
-    status = "converged" if delta0 <= target_delta else None
-    delta_cur = delta0
+    status = "converged" if delta_cur <= target_delta else None
+    steps = rejected_err = rejected_delta = 0
 
     if status is None:
+        fy = system.f(y)
         rate0 = 4.0 * speed2 / delta_cur if delta_cur > 0 else 1.0
         h = opts.h0 if opts.h0 is not None else 0.02 / max(rate0, 1e-9)
         h = min(h, t_max)
@@ -409,43 +459,50 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         if h <= 0.0:
             status = "t_max"
             break
-        y_full = _rk4(system, y, h)
-        y_half = _rk4(system, y, 0.5 * h)
-        y_two = _rk4(system, y_half, 0.5 * h)
+        y_half = _rk4(system, y, fy, 0.5 * h)
+        f_half = system.f(y_half)
+        y_two = _rk4(system, y_half, f_half, 0.5 * h)
         if not np.all(np.isfinite(y_two)):
             raise FlowError(f"non-finite state at t={t:.6g}")
-        err = float(np.max(np.abs(y_two - y_full))) / max(1.0, float(np.max(np.abs(y))))
-        delta_new = system.delta(y_two)
-        relchg = abs(delta_new - delta_cur) / delta_cur if delta_cur > 0 else 0.0
-
-        accept = err <= opts.step_err_tol and relchg <= opts.rel_delta_step
-        if opts.fixed_step is not None:
-            accept = True
-        if accept:
-            y = y_two
-            t += h
-            delta_cur = delta_new
-            rec.add(system, y, t)
-            scalings = system.diag_scalings(y)
-            if scalings is not None:
-                scale_max = max(scale_max, float(scalings.max()))
-                scale_min = min(scale_min, float(scalings.min()))
-            if delta_cur <= target_delta:
-                status = "converged"
-            elif t >= t_max:
-                status = "t_max"
-            if opts.fixed_step is None:
-                f_err = 0.9 * (opts.step_err_tol / max(err, 1e-300)) ** 0.2
-                f_rel = 0.8 * opts.rel_delta_step / max(relchg, 1e-12)
-                h *= max(0.2, min(2.0, f_err, f_rel))
-        else:
-            h *= 0.5
-            if h < 1e-12 * max(1.0, t):
-                raise FlowError(f"step size underflow at t={t:.6g}")
+        meas_two = system.measures(y_two)
+        factor = 1.0
+        if opts.fixed_step is None:
+            y_full = _rk4(system, y, fy, h)
+            err = float(np.max(np.abs(y_two - y_full))) / max(1.0, float(np.max(np.abs(y))))
+            factor = max(0.2, min(2.0, 0.9 * (opts.step_err_tol / max(err, 1e-300)) ** 0.2))
+            if err > opts.step_err_tol or meas_two[1] > delta_cur:
+                if err > opts.step_err_tol:
+                    rejected_err += 1
+                else:
+                    rejected_delta += 1
+                h *= min(factor, 0.5)
+                if h < 1e-12 * max(1.0, t):
+                    raise FlowError(f"step size underflow at t={t:.6g}")
+                continue
+        f_two = system.f(y_two)
+        if opts.fixed_step is None:
+            ends = (y, fy, y_half, f_half, y_two, f_two)
+            for t_s, y_s, meas_s in _dense_samples(system, t, h, ends, meas, meas_two,
+                                                   opts.rel_delta_step):
+                rec.add(system, y_s, t_s, meas_s)
+        y, fy, meas = y_two, f_two, meas_two
+        t += h
+        delta_cur = meas[1]
+        steps += 1
+        rec.add(system, y, t, meas)
+        scalings = system.diag_scalings(y)
+        if scalings is not None:
+            scale_max = max(scale_max, float(scalings.max()))
+            scale_min = min(scale_min, float(scalings.min()))
+        if delta_cur <= target_delta:
+            status = "converged"
+        elif t >= t_max:
+            status = "t_max"
+        h *= factor
 
     # make sure the final point is retained even if thinning skipped it
     if rec.rows and rec.rows[-1][0] != t:
-        rec.add(system, y, t, force=True)
+        rec.add(system, y, t, meas, force=True)
 
     rows = np.array(rec.rows, dtype=float)
     kappa = scale_max / scale_min if scalings is not None and scale_min > 0 else math.nan
@@ -460,6 +517,8 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         status=status,
         scaling=system.scaling_pair(y),
         kappa_ratio=kappa, scale_max=scale_max, scale_min=scale_min,
+        steps=steps, rejected_err=rejected_err, rejected_delta=rejected_delta,
+        evals=system.evals,
         states=rec.states, scalings=rec.scalings,
     )
     return system.obj(y), traj

@@ -235,6 +235,14 @@ def test_thread_count_env(monkeypatch):
     assert _thread_count(3) >= 1
 
 
+def test_malformed_thread_count_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FRAMEFLOW_THREADS", "abc")
+    rc, captured = run(capsys, "solve", "--basic", "--d", "3", "--n", "12",
+                       "--eps", "0.01", "--trials", "2")
+    assert rc == 1
+    assert "usage error" in captured.err and "FRAMEFLOW_THREADS" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # capacity
 

@@ -1,6 +1,7 @@
 """Continuous scaling flows: identities, monitors, scaling accumulation."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from frameflow.checks import finite_difference, validate_trace_csv
 from frameflow.dynamics import (
     CSV_HEADER,
     FlowOptions,
+    _MatrixSystem,
+    _dense_samples,
+    _rk4,
     frame_flow,
     matrix_flow,
     operator_flow,
@@ -226,6 +230,118 @@ def test_csv_layout_and_revalidation():
 
     results = validate_trace_csv(text)
     assert results and all(r.ok for r in results), [r.detail for r in results if not r.ok]
+
+
+_STEERING_INPUTS = [
+    (lambda: near_parseval_frame(3, 8, 0.05, 41)[0], frame_flow),
+    (lambda: random_operator(4, 3, 5, 42), operator_flow),
+    (lambda: random_matrix(3, 4, 43), matrix_flow),
+]
+
+
+def _final_bytes(obj):
+    data = {"Frame": "vectors", "OperatorTuple": "mats", "NonNegMatrix": "entries"}
+    return getattr(obj, data[type(obj).__name__]).tobytes()
+
+
+@pytest.mark.parametrize("make, flow", _STEERING_INPUTS, ids=["frame", "operator", "matrix"])
+def test_sampling_does_not_steer_integration(make, flow):
+    obj = make()
+    runs = [
+        flow(obj, opts=opts)
+        for opts in (
+            FlowOptions(rel_delta_step=0.05),
+            FlowOptions(rel_delta_step=0.0016),
+            FlowOptions(max_samples=64),
+            FlowOptions(max_samples=100_000),
+        )
+    ]
+    final0, traj0 = runs[0]
+    assert traj0.status == "converged" and traj0.steps > 0
+    for final, traj in runs[1:]:
+        assert _final_bytes(final) == _final_bytes(final0)
+        assert (traj.steps, traj.rejected_err, traj.rejected_delta, traj.evals) == (
+            traj0.steps, traj0.rejected_err, traj0.rejected_delta, traj0.evals)
+        assert traj.t[-1] == traj0.t[-1]
+    # a finer sample spacing records more rows from the same steps
+    assert len(runs[1][1]) > len(runs[0][1])
+
+
+@pytest.mark.parametrize("make, flow", _STEERING_INPUTS, ids=["frame", "operator", "matrix"])
+def test_validation_samples_spaced_by_delta(make, flow):
+    opts = validation_options()
+    _, traj = flow(make(), opts=opts)
+    assert traj.status == "converged"
+    assert len(traj) < opts.max_samples  # no thinning: every sample is kept
+    assert np.all(np.diff(traj.t) > 0.0)
+    rel = np.abs(np.diff(traj.delta)) / traj.delta[:-1]
+    assert rel.max() <= opts.rel_delta_step * (1.0 + 1e-9)
+    # dense output fills in samples well beyond one per step
+    assert len(traj) > 10 * traj.steps
+
+
+def test_dense_sample_grid_refined_until_spaced():
+    # One long step from an unbalanced matrix, over which delta decays at an
+    # uneven rate.  The end-point decay rates are hidden from the grid
+    # estimate, so only the refinement can bring the spacing within rel.
+    system = _MatrixSystem(random_matrix(3, 4, 45))
+    y = system.y0
+    fy = system.f(y)
+    s, delta_a, speed2 = system.measures(y)
+    h = delta_a / (4.0 * speed2)
+    y_half = _rk4(system, y, fy, 0.5 * h)
+    f_half = system.f(y_half)
+    y_two = _rk4(system, y_half, f_half, 0.5 * h)
+    s_b, delta_b, _ = system.measures(y_two)
+    rel = 0.01
+    samples = _dense_samples(system, 0.0, h, (y, fy, y_half, f_half, y_two, system.f(y_two)),
+                             (s, delta_a, 0.0), (s_b, delta_b, 0.0), rel)
+    estimate = math.ceil(math.log(delta_a / delta_b) / -math.log1p(-rel))
+    assert len(samples) + 1 > estimate
+    times = np.array([0.0] + [t for t, _, _ in samples] + [h])
+    assert np.all(np.diff(times) > 0.0)
+    deltas = np.array([delta_a] + [meas[1] for _, _, meas in samples] + [delta_b])
+    assert np.max(np.abs(np.diff(deltas)) / deltas[:-1]) <= rel
+    for _, state, meas in samples[::10]:
+        assert system.measures(state) == meas
+
+
+class _RoundoffFloor:
+    """Stand-in flow system whose delta has reached its roundoff floor: it
+    wobbles around a plateau instead of decreasing."""
+
+    def __init__(self, budget):
+        self.budget = budget
+
+    def measures(self, v):
+        self.budget -= 1
+        if self.budget < 0:
+            raise RuntimeError("sample grid refined without end")
+        return 1.0, 1e-30 * (1.0 + 0.01 * math.sin(1e3 * float(v[0]))), 0.0
+
+
+def test_dense_sample_grid_kept_at_delta_floor():
+    line = np.array([0.0]), np.array([1.0])
+    ends = (line[0], line[1], 0.5 * line[1], line[1], line[1], line[1])
+    system = _RoundoffFloor(budget=10_000)
+    samples = _dense_samples(system, 0.0, 1.0, ends, (1.0, 1.02e-30, 0.0),
+                             (1.0, 0.98e-30, 0.0), 1e-3)
+    # the first grid (from the drop of log delta) is kept as it is
+    assert len(samples) + 1 == math.ceil(math.log(1.02 / 0.98) / -math.log1p(-1e-3))
+
+
+def test_fixed_step_records_one_sample_per_step():
+    fr, _ = near_parseval_frame(3, 6, 0.05, 44)
+    _, traj = frame_flow(fr, t_max=2.0, opts=FlowOptions(fixed_step=0.02))
+    assert traj.rejected_err == traj.rejected_delta == 0
+    assert len(traj) == traj.steps + 1
+    np.testing.assert_allclose(np.diff(traj.t), 0.02, rtol=1e-9)
+
+
+def test_sample_spacing_must_be_positive():
+    for rel in (0.0, -0.01, float("nan")):
+        with pytest.raises(ValueError):
+            FlowOptions(rel_delta_step=rel)
 
 
 def test_t_max_reported():
