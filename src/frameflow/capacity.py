@@ -29,6 +29,8 @@ from .dynamics import KAPPA_RATE
 
 GRAD_TOL = 1e-10
 ARMIJO_C = 1e-4
+NEWTON_MAX_ITERS = 200
+F_ROUNDOFF = 4e-16      # rise of f, relative to its terms, taken as roundoff by _newton
 
 
 class CapacityError(RuntimeError):
@@ -43,6 +45,7 @@ class CapacityResult:
     lower: float | None = None        # always-valid bracket around the true capacity
     upper: float | None = None
     converged: bool = True
+    iterations: int = 0               # Newton steps (convex routes) or scaling sweeps
 
 
 @dataclass(frozen=True)
@@ -244,56 +247,89 @@ def matrix_capacity(a: NonNegMatrix, tol: float = 1e-12, max_iters: int = 100_00
     value = size_of(b) * math.exp(-pair.left_logdet / a.m - pair.right_logdet / a.n)
     value = min(value, s_in)
     method = "scaling-based" if report.converged else "bracket-only"
-    return CapacityResult(value, method, None, lower, upper, report.converged)
+    return CapacityResult(value, method, None, lower, upper, report.converged, report.iterations)
 
 
-def _descent(f_and_grad, y0: np.ndarray, tol: float, max_iters: int):
-    """Plain gradient descent with Armijo backtracking (c = 1e-4, halving)."""
+def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
+    """Gauge-fixed damped Newton for an objective f(y) that is invariant
+    under y -> y + c 1; `objective(y)` returns (f, gradient, Hessian).
+
+    The gradient sums to zero and the Hessian annihilates 1, so the step
+    solves (H + 1 1^T / n) p = -g, which fixes the gauge (1^T p = 0).  The
+    step is halved from t = 1 until the Armijo test (c = 1e-4) holds.  Near
+    the minimum f sits at its roundoff floor and no decrease can pass that
+    test, so there the full step is also taken when f did not rise beyond
+    roundoff and max|g| shrank.  f sums terms of the size of log m (or
+    log d) and of the entries of y, so its roundoff is measured against
+    |f| + 1 + max|y|, not |f| alone, which can be far smaller.  Stops when
+    max|g| <= tol; returns (y, f, converged, iterations).
+    """
+    n = y0.size
+    gauge = np.full((n, n), 1.0 / n)
     y = y0.copy()
-    f, g = f_and_grad(y)
-    step = 1.0
-    for _ in range(max_iters):
-        gnorm = float(np.abs(g).max())
-        if gnorm <= tol:
-            return y, f, True
-        g2 = float(g @ g)
+    f, g, h = objective(y)
+    gnorm = float(np.abs(g).max())
+    iterations = 0
+    while gnorm > tol:
+        if iterations == max_iters:
+            return y, f, False, iterations
+        # least squares, because H loses rank where the infimum lies at
+        # infinity along some direction (a support without total support)
+        p = np.linalg.lstsq(h + gauge, -g, rcond=None)[0]
+        slope = float(g @ p)
+        floor = F_ROUNDOFF * (abs(f) + 1.0 + float(np.abs(y).max()))
+        t = 1.0
         while True:
-            trial = y - step * g
-            f_new, g_new = f_and_grad(trial)
-            if f_new <= f - ARMIJO_C * step * g2:
+            trial = y + t * p
+            f_new, g_new, h_new = objective(trial)
+            if f_new <= f + ARMIJO_C * t * slope:
                 break
-            step *= 0.5
-            if step < 1e-18:
-                return y, f, False
-        y, f, g = trial, f_new, g_new
-        step = min(step * 2.0, 1e6)
-    return y, f, False
+            if t == 1.0 and f_new <= f + floor and float(np.abs(g_new).max()) < gnorm:
+                break
+            t *= 0.5
+            if t < 1e-18:
+                return y, f, False, iterations
+        y, f, g, h = trial, f_new, g_new, h_new
+        gnorm = float(np.abs(g).max())
+        iterations += 1
+    return y, f, True, iterations
 
 
-def matrix_capacity_convex(a: NonNegMatrix, tol: float = GRAD_TOL, max_iters: int = 100_000) -> CapacityResult:
-    """Convex route: minimize
-        f(y) = log m + (1/m) sum_i log((A e^y)_i) - (1/n) sum_j y_j
-    from y = 0; the capacity is exp(f*).  Kept independent of the scaling
-    route so the two can cross-check each other."""
-    cert = capacity_zero_check(a)
-    if cert is not None:
-        return CapacityResult(0.0, "zero-detected", cert, 0.0, 0.0)
-    m, n = a.m, a.n
-    mat = a.entries
+def _matrix_objective(mat: np.ndarray):
+    """Objective/gradient/Hessian closure for the matrix program
+        f(y) = log m + (1/m) sum_i log((A e^y)_i) - (1/n) sum_j y_j.
+    With P = A diag(e^y) / rows, each row of P sums to 1, the gradient is
+    col(P)/m - 1/n and the Hessian (diag(col(P)) - P^T P)/m.
+    """
+    m, n = mat.shape
     logm = math.log(m)
 
-    def f_and_grad(y):
+    def objective(y):
         w = np.exp(y)
         rows = mat @ w
         if np.any(rows <= 0.0) or not np.all(np.isfinite(rows)):
-            return math.inf, np.zeros(n)
+            return math.inf, None, None
         f = logm + float(np.log(rows).sum()) / m - float(y.sum()) / n
-        grad = (mat / rows[:, None]).sum(axis=0) * w / m - 1.0 / n
-        return f, grad
+        p = mat * w / rows[:, None]
+        col = p.sum(axis=0)
+        return f, col / m - 1.0 / n, (np.diag(col) - p.T @ p) / m
 
-    y, f, ok = _descent(f_and_grad, np.zeros(n), tol, max_iters)
+    return objective
+
+
+def matrix_capacity_convex(a: NonNegMatrix, tol: float = GRAD_TOL,
+                           max_iters: int = NEWTON_MAX_ITERS) -> CapacityResult:
+    """Convex route: minimize
+        f(y) = log m + (1/m) sum_i log((A e^y)_i) - (1/n) sum_j y_j
+    from y = 0 by gauge-fixed damped Newton; the capacity is exp(f*).  Kept
+    independent of the scaling route so the two can cross-check each other.
+    `converged` is False when max|grad f| > tol at the end."""
+    cert = capacity_zero_check(a)
+    if cert is not None:
+        return CapacityResult(0.0, "zero-detected", cert, 0.0, 0.0)
+    _, f, ok, iterations = _newton(_matrix_objective(a.entries), np.zeros(a.n), tol, max_iters)
     lower, upper = capacity_bounds(a)
-    return CapacityResult(math.exp(f), "convex-descent", None, lower, upper, ok)
+    return CapacityResult(math.exp(f), "convex-descent", None, lower, upper, ok, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -301,52 +337,56 @@ def matrix_capacity_convex(a: NonNegMatrix, tol: float = GRAD_TOL, max_iters: in
 
 
 def _frame_objective(vecs: np.ndarray, d: int, n: int):
-    """Objective/gradient closure for the diagonal-weight program
+    """Objective/gradient/Hessian closure for the diagonal-weight program
         g(y) = log d + (1/d) logdet(sum_l e^{y_l} u_l u_l^T) - (1/n) sum_l y_l.
+    With w = e^y, K = U G^{-1} U^T and q = diag(K), the gradient is
+    w q / d - 1/n and the Hessian (diag(w q) - (w w^T) o K o K)/d.
     """
     logd = math.log(d)
 
-    def f_and_grad(y):
+    def objective(y):
         w = np.exp(y)
         gram = (vecs * w[:, None]).T @ vecs
         sgn, logdet = np.linalg.slogdet(gram)
-        if sgn <= 0:
-            return math.inf, np.zeros(n)
+        if sgn <= 0 or not math.isfinite(logdet):    # singular, or e^y overflowed
+            return math.inf, None, None
         f = logd + logdet / d - float(y.sum()) / n
-        z = np.linalg.solve(gram, vecs.T)          # d x n
-        quad = np.einsum("nd,dn->n", vecs, z)      # u_l^T gram^{-1} u_l
-        grad = w * quad / d - 1.0 / n
-        return f, grad
+        k = vecs @ np.linalg.solve(gram, vecs.T)   # u_l^T G^{-1} u_l'
+        wq = w * np.diag(k)
+        return f, wq / d - 1.0 / n, (np.diag(wq) - np.outer(w, w) * k * k) / d
 
-    return f_and_grad
+    return objective
 
 
 def frame_weight_minimizer(fr: Frame, tol: float = GRAD_TOL,
-                           max_iters: int = 20_000) -> np.ndarray:
+                           max_iters: int = NEWTON_MAX_ITERS) -> np.ndarray:
     """Positive per-vector weights x_l = e^{y_l} minimizing the diagonal
-    capacity program; the eigenbasis of sum_l x_l u_l u_l^T at these weights
-    is the natural frame-side basis for the matrix compression."""
+    capacity program (by the Newton routine of frame_capacity); the
+    eigenbasis of sum_l x_l u_l u_l^T at these weights is the natural
+    frame-side basis for the matrix compression."""
     sign, _ = np.linalg.slogdet(fr.vectors.T @ fr.vectors)
     if sign <= 0:
         raise CapacityError("vectors do not span; no interior minimizer")
-    y, _, _ = _descent(_frame_objective(fr.vectors, fr.d, fr.n),
-                       np.zeros(fr.n), tol, max_iters)
+    y, _, _, _ = _newton(_frame_objective(fr.vectors, fr.d, fr.n),
+                         np.zeros(fr.n), tol, max_iters)
     return np.exp(y)
 
 
-def frame_capacity(fr: Frame, tol: float = GRAD_TOL, max_iters: int = 100_000) -> CapacityResult:
+def frame_capacity(fr: Frame, tol: float = GRAD_TOL,
+                   max_iters: int = NEWTON_MAX_ITERS) -> CapacityResult:
     """Diagonal-weight capacity of a frame:
         g(y) = log d + (1/d) logdet(sum_l e^{y_l} u_l u_l^T) - (1/n) sum_l y_l,
-    minimized by descent; value exp(g*).  A frame whose vectors do not span
-    R^d has capacity zero (the determinant vanishes for every weight)."""
+    minimized from y = 0 by gauge-fixed damped Newton; value exp(g*).  A
+    frame whose vectors do not span R^d has capacity zero (the determinant
+    vanishes for every weight)."""
     d, n = fr.d, fr.n
     vecs = fr.vectors
     sign, _ = np.linalg.slogdet(vecs.T @ vecs)
     if sign <= 0:
         return CapacityResult(0.0, "zero-detected", {"reason": "vectors do not span"}, 0.0, 0.0)
-    y, f, ok = _descent(_frame_objective(vecs, d, n), np.zeros(n), tol, max_iters)
+    _, f, ok, iterations = _newton(_frame_objective(vecs, d, n), np.zeros(n), tol, max_iters)
     lower, upper = capacity_bounds(fr)
-    return CapacityResult(math.exp(f), "convex-descent", None, lower, upper, ok)
+    return CapacityResult(math.exp(f), "convex-descent", None, lower, upper, ok, iterations)
 
 
 def operator_capacity(u: OperatorTuple, tol: float = 1e-12, max_iters: int = 100_000) -> CapacityResult:
@@ -363,7 +403,7 @@ def operator_capacity(u: OperatorTuple, tol: float = 1e-12, max_iters: int = 100
     value = size_of(v) * math.exp(-2.0 * pair.left_logdet / u.m - 2.0 * pair.right_logdet / u.n)
     value = min(value, s_in)
     method = "scaling-based" if report.converged else "bracket-only"
-    return CapacityResult(value, method, None, lower, upper, report.converged)
+    return CapacityResult(value, method, None, lower, upper, report.converged, report.iterations)
 
 
 def _embedded_frame(u: OperatorTuple) -> Frame | None:

@@ -7,6 +7,7 @@ prints something actionable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -228,15 +229,16 @@ def check_scaling_capacity_covariance(seed: int = 0) -> CheckResult:
 # flow layer
 
 
+# four flow checks read the same three recorded flows; one run per seed
+# serves them all, and the checks only read the results
+@functools.lru_cache(maxsize=1)
 def _flow_triple(seed: int):
     opts = validation_options(record_states=True, record_scalings=True)
     op = random_operator(4, 3, 5, (seed, 8, 0))
     fr = near_parseval_frame(3, 8, 0.05, (seed, 8, 1))[0]
     mat = random_matrix(3, 4, (seed, 8, 2))
-    runs = []
-    for obj, flow in [(op, operator_flow), (fr, frame_flow), (mat, matrix_flow)]:
-        runs.append((obj, *flow(obj, opts=opts)))
-    return runs
+    return tuple((obj, *flow(obj, opts=opts))
+                 for obj, flow in [(op, operator_flow), (fr, frame_flow), (mat, matrix_flow)])
 
 
 def check_flow_s_identity(seed: int = 0) -> CheckResult:

@@ -312,7 +312,13 @@ def cmd_capacity(cfg: RunConfig) -> int:
     doc: dict = {"command": "capacity"}
     if isinstance(obj, NonNegMatrix):
         scaling = matrix_capacity(obj, tol=tol)
-        convex = matrix_capacity_convex(obj)
+        # both routes open with the same zero check (a Hopcroft-Karp run on
+        # the lifted support, most of the cost on large tight examples), and
+        # a zero result reports convex_value 0.0 and gap 0.0 either way
+        if scaling.method == "zero-detected":
+            convex = scaling
+        else:
+            convex = matrix_capacity_convex(obj)
         agree = abs(scaling.value - convex.value) / max(scaling.value, convex.value, 1e-300)
         doc.update(
             kind="matrix",
@@ -323,6 +329,7 @@ def cmd_capacity(cfg: RunConfig) -> int:
             upper=scaling.upper,
             converged=scaling.converged,
             convex_value=convex.value,
+            convex_converged=convex.converged,
             dual_relative_gap=agree,
         )
     elif isinstance(obj, Frame):

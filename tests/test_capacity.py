@@ -15,11 +15,17 @@ from frameflow import (
     size_of,
 )
 from frameflow.capacity import (
+    GRAD_TOL,
+    NEWTON_MAX_ITERS,
     CapacityResult,
+    _frame_objective,
     _hopcroft_karp,
+    _matrix_objective,
+    _newton,
     capacity_bounds,
     capacity_zero_check,
     frame_capacity,
+    frame_weight_minimizer,
     matrix_capacity,
     matrix_capacity_convex,
     operator_capacity,
@@ -377,3 +383,113 @@ def test_capacity_result_fields():
     assert isinstance(res, CapacityResult)
     assert res.converged
     assert res.method in {"scaling-based", "convex-descent", "zero-detected", "bracket-only"}
+
+
+# ---------------------------------------------------------------------------
+# the convex routes: gauge-fixed damped Newton
+
+# seeds of criterion-05 style positive 4x4 matrices and near-Parseval 3x12
+# frames on which plain Armijo gradient descent stopped at its
+# 100000-iteration cap short of GRAD_TOL
+DESCENT_CAPPED_MATRICES = (15, 27, 35, 36, 38)
+DESCENT_CAPPED_FRAMES = (0, 9, 12, 14, 15)
+CAPPED_SEED = 171002587
+
+
+def _capped_matrix(j):
+    rng = np.random.default_rng([CAPPED_SEED, 5, j])
+    return NonNegMatrix(rng.uniform(0.05, 1.0, (4, 4)))
+
+
+def _capped_frame(j):
+    return near_parseval_frame(3, 12, 0.01, (CAPPED_SEED, 3, j))[0]
+
+
+def test_convex_matrix_route_converges_where_descent_capped():
+    for j in DESCENT_CAPPED_MATRICES:
+        a = _capped_matrix(j)
+        res = matrix_capacity_convex(a)
+        assert res.converged and 0 < res.iterations <= 50
+        ref = matrix_capacity(a)
+        assert ref.converged and ref.iterations > 0
+        assert abs(res.value - ref.value) <= 1e-10 * ref.value
+
+
+def test_convex_frame_route_converges_where_descent_capped():
+    for j in DESCENT_CAPPED_FRAMES:
+        fr = _capped_frame(j)
+        res = frame_capacity(fr)
+        assert res.converged and 0 < res.iterations <= 50
+        # the weights satisfy the stopping rule, recomputed from scratch
+        x = frame_weight_minimizer(fr)
+        u = fr.vectors
+        q = np.einsum("ld,de,le->l", u, np.linalg.inv((u * x[:, None]).T @ u), u)
+        assert np.abs(x * q / fr.d - 1.0 / fr.n).max() <= GRAD_TOL
+        assert res.lower - 1e-12 <= res.value <= res.upper + 1e-12
+
+
+def test_newton_value_ignores_gauge_shift():
+    a = _capped_matrix(DESCENT_CAPPED_MATRICES[0])
+    fr = _capped_frame(DESCENT_CAPPED_FRAMES[0])
+    for objective, n in [(_matrix_objective(a.entries), a.n),
+                         (_frame_objective(fr.vectors, fr.d, fr.n), fr.n)]:
+        _, f0, ok0, _ = _newton(objective, np.zeros(n), GRAD_TOL, NEWTON_MAX_ITERS)
+        assert ok0
+        for c in (-6.0, 2.5):
+            _, f1, ok1, _ = _newton(objective, np.full(n, c), GRAD_TOL, NEWTON_MAX_ITERS)
+            assert ok1
+            assert abs(np.exp(f1) - np.exp(f0)) <= 1e-12 * np.exp(f0)
+
+
+# a positive 2x6 criterion-04 draw: f ends far below its terms (log 2 and
+# entries of y near 2), where a roundoff allowance of 4e-16 |f| stalls the
+# iteration at |g| ~ 4e-10
+FULL_SUPPORT_2X6 = [
+    [0.0574594252162569, 0.00024298650291681477, 0.33444586270636106,
+     0.786253758598938, 0.0010723368932297726, 0.026372790298835207],
+    [0.01920802914490756, 0.16967140869740432, 0.6671592340567395,
+     0.4689279113119582, 0.03720250808727603, 0.041782492009854094],
+]
+
+
+def test_convex_route_converges_or_says_so_on_full_support_2x6():
+    a = NonNegMatrix(np.array(FULL_SUPPORT_2X6))
+    res = matrix_capacity_convex(a)
+    ref = matrix_capacity(a)
+    assert ref.converged
+    assert res.converged and res.iterations <= 50
+    assert abs(res.value - ref.value) <= 1e-10 * ref.value
+    # cut short, the route reports it and stays inside the bracket
+    short = matrix_capacity_convex(a, max_iters=2)
+    assert not short.converged and short.iterations == 2
+    assert short.lower - 1e-12 <= short.value <= short.upper + 1e-12
+
+
+def test_zero_detected_results_report_no_iterations():
+    res = matrix_capacity_convex(NonNegMatrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
+    assert res.method == "zero-detected" and res.iterations == 0
+    vectors = np.zeros((4, 3))
+    vectors[:, :2] = 1.0
+    assert frame_capacity(Frame(vectors)).iterations == 0
+
+
+def test_convex_route_without_total_support():
+    # a criterion-04 draw whose support has no total support: rows 0 and 2
+    # are forced onto columns 3 and 1, and rows 1 and 3 share a positive
+    # 2x2 block on columns 0 and 2.  The infimum lies at infinity along the
+    # direction that scales the entries off every perfect matching away; the
+    # first Newton step goes far along it and the Hessian loses rank there.
+    e = np.array([
+        [0.6931679502696033, 0.027844792836561556, 0.22863312187944812, 0.006827812088745095],
+        [0.26984375066398886, 0.07920513782852583, 0.1593796133869496, 0.0],
+        [0.0, 0.9290611476280253, 0.0, 0.0],
+        [0.44351746278580717, 0.03393988493992592, 0.6719095757812492, 0.0],
+    ])
+    # the capacity of a direct sum of square blocks B_k of side n_k is
+    # n prod_k (cap(B_k)/n_k)^(n_k/n), and a 2x2 block [[a, b], [c, d]] has
+    # capacity 2 (sqrt(ad) + sqrt(bc))
+    block = 2.0 * (np.sqrt(e[1, 0] * e[3, 2]) + np.sqrt(e[1, 2] * e[3, 0]))
+    closed = 4.0 * (e[0, 3] * e[2, 1]) ** 0.25 * (block / 2.0) ** 0.5
+    res = matrix_capacity_convex(NonNegMatrix(e))
+    assert res.converged and res.iterations <= 50
+    assert res.value == pytest.approx(closed, rel=1e-9)

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import frameflow
+from frameflow import checks
 from frameflow.capacity import tight_example
 from frameflow.cli import _thread_count, main
 from frameflow.core import Frame, eps_nearness, from_dict
+from frameflow.dynamics import validation_options
 
 
 def run(capsys, *argv):
@@ -284,6 +286,51 @@ def test_capacity_exact_frame(tmp_path, capsys):
     doc = load_doc(out)
     assert doc["kind"] == "frame"
     assert doc["value"] == pytest.approx(3.0, abs=1e-6)
+
+
+def test_capacity_matrix_report_carries_convex_flag(tmp_path, capsys):
+    for argv in (["--kind", "matrix", "--m", "4", "--n", "6", "--seed", "3"],
+                 ["--kind", "tight", "--k", "3"]):
+        obj = tmp_path / "mat.json"
+        out = tmp_path / "cap.json"
+        run(capsys, "gen", *argv, "--out", str(obj))
+        rc, _ = run(capsys, "capacity", "--in", str(obj), "--out", str(out))
+        assert rc == 0
+        doc = load_doc(out)
+        assert doc["convex_converged"] is True
+
+
+# ---------------------------------------------------------------------------
+# check
+
+
+def test_check_runs_each_recorded_flow_once(monkeypatch):
+    # four flow checks read the same three validation-profile flows, which
+    # record states and scalings; the suite is cut to the flow layer,
+    # because cap_lower_bracket alone runs Sinkhorn to its cap for minutes
+    recorded = {"frame": 0, "matrix": 0, "operator": 0}
+    shared = validation_options(record_states=True, record_scalings=True)
+
+    def counting(kind, flow):
+        def wrapper(obj, *args, **kwargs):
+            if kwargs.get("opts") == shared:
+                recorded[kind] += 1
+            return flow(obj, *args, **kwargs)
+        return wrapper
+
+    for kind in recorded:
+        name = f"{kind}_flow"
+        monkeypatch.setattr(checks, name, counting(kind, getattr(checks, name)))
+    flow_checks = [fn for fn in checks.ALL_CHECKS if fn.__name__.startswith("check_flow_")]
+    assert len(flow_checks) == 6
+    monkeypatch.setattr(checks, "ALL_CHECKS", flow_checks)
+    checks._flow_triple.cache_clear()
+    try:
+        results = checks.run_all(seed=0)
+    finally:
+        checks._flow_triple.cache_clear()
+    assert all(res.ok for res in results), results
+    assert recorded == {"frame": 1, "matrix": 1, "operator": 1}
 
 
 # ---------------------------------------------------------------------------
