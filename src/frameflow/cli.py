@@ -70,28 +70,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "d": 3,
-    "n": 12,
-    "m": 4,
-    "k": 4,
-    "eps": 0.01,
-    "sigma2": 1e-6,
-    "tol": None,
-    "trials": 1,
-    "demo": False,
-    "out": None,
-    "infile": None,
-    "kind": "frame",
-    "mode": "basic",
-    "zeta": 0.1,
-    "kappa": 1e-3,
-    "t_max": 1e6,
-    "final_delta": None,
-}
-
-
 @dataclasses.dataclass
 class RunConfig:
     seed: int = 0
@@ -126,6 +104,9 @@ class RunConfig:
                 raise UsageError(f"--{name.replace('_', '-')} must be positive")
         if self.seed < 0:
             raise UsageError("--seed must be nonnegative")
+
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:

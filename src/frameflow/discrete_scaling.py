@@ -30,42 +30,19 @@ class ScalingError(RuntimeError):
     """Raised when a scaling step is undefined (zero row, singular Gram, ...)."""
 
 
-@dataclass(frozen=True)
-class ScalingPair:
-    """Accumulated left/right transforms taking the input to the output.
-
-    ``left``/``right`` are full matrices; the ``*_diagonal`` flags mark
-    transforms whose off-diagonal part is exactly zero.  ``*_logdet`` stores
-    log|det| of the corresponding transform.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    left_diagonal: bool
-    right_diagonal: bool
-    left_logdet: float
-    right_logdet: float
-
-    def __post_init__(self):
-        for name in ("left", "right"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"{name} transform must be square, got {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.left_diagonal and np.any(self.left != np.diag(np.diag(self.left))):
-            raise ValueError("left flagged diagonal but has off-diagonal entries")
-        if self.right_diagonal and np.any(self.right != np.diag(np.diag(self.right))):
-            raise ValueError("right flagged diagonal but has off-diagonal entries")
-
-    @staticmethod
-    def identity(m: int, n: int) -> "ScalingPair":
-        return ScalingPair(np.eye(m), np.eye(n), True, True, 0.0, 0.0)
+def full_transform(a: np.ndarray) -> np.ndarray:
+    """The square matrix of a transform stored either as that matrix or as
+    the 1-D vector of its diagonal."""
+    if a.ndim == 2:
+        return a
+    full = np.diag(a)
+    full.setflags(write=False)
+    return full
 
 
-def _logabsdet(a: np.ndarray, diagonal: bool) -> float:
-    if diagonal:
-        d = np.abs(np.diag(a))
+def _logabsdet(a: np.ndarray) -> float:
+    if a.ndim == 1:
+        d = np.abs(a)
         if np.any(d == 0.0):
             return -math.inf
         return float(np.sum(np.log(d)))
@@ -73,13 +50,64 @@ def _logabsdet(a: np.ndarray, diagonal: bool) -> float:
     return float(logdet) if sign != 0 else -math.inf
 
 
+@dataclass(frozen=True)
+class ScalingPair:
+    """Accumulated left/right transforms taking the input to the output.
+
+    A diagonal side is stored as the 1-D vector of its diagonal, any other
+    side as a square matrix (``left_stored``/``right_stored``, read-only).
+    ``left``/``right`` build the full read-only matrix on access, and the
+    ``*_diagonal`` flags say which sides are stored as vectors.
+    ``*_logdet`` stores log|det| of the corresponding transform.
+    """
+
+    left_stored: np.ndarray
+    right_stored: np.ndarray
+    left_logdet: float
+    right_logdet: float
+
+    def __post_init__(self):
+        for name in ("left_stored", "right_stored"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim not in (1, 2) or arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
+                raise ValueError(f"{name} transform must be a vector or square, got {arr.shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def left(self) -> np.ndarray:
+        return full_transform(self.left_stored)
+
+    @property
+    def right(self) -> np.ndarray:
+        return full_transform(self.right_stored)
+
+    @property
+    def left_diagonal(self) -> bool:
+        return self.left_stored.ndim == 1
+
+    @property
+    def right_diagonal(self) -> bool:
+        return self.right_stored.ndim == 1
+
+    @staticmethod
+    def identity(m: int, n: int) -> "ScalingPair":
+        return ScalingPair(np.ones(m), np.ones(n), 0.0, 0.0)
+
+
+def _stored(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 2 and np.all(a == np.diag(np.diag(a))):
+        return np.diag(a)
+    return a
+
+
 def make_scaling_pair(left: np.ndarray, right: np.ndarray) -> ScalingPair:
-    """Build a ScalingPair, detecting exact diagonal structure."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    ld = bool(np.all(left == np.diag(np.diag(left))))
-    rd = bool(np.all(right == np.diag(np.diag(right))))
-    return ScalingPair(left, right, ld, rd, _logabsdet(left, ld), _logabsdet(right, rd))
+    """Build a ScalingPair from transforms given as matrices or as diagonal
+    vectors; a matrix whose off-diagonal part is exactly zero is stored as
+    its diagonal."""
+    left, right = _stored(left), _stored(right)
+    return ScalingPair(left, right, _logabsdet(left), _logabsdet(right))
 
 
 @dataclass(frozen=True)
@@ -128,10 +156,7 @@ def sinkhorn(
         iterations += 1
         delta = delta_of(NonNegMatrix(mat))
 
-    pair = ScalingPair(
-        np.diag(x), np.diag(y), True, True,
-        float(np.sum(np.log(x))), float(np.sum(np.log(y))),
-    )
+    pair = make_scaling_pair(x, y)
     report = IterationReport(iterations, float(delta), bool(delta <= tol))
     return NonNegMatrix(mat), pair, report
 
@@ -214,9 +239,6 @@ def frame_alternating(
         iterations += 1
         delta = delta_of(Frame(vecs))
 
-    pair = ScalingPair(
-        left, np.diag(yscale), False, True,
-        _logabsdet(left, False), float(np.sum(np.log(np.abs(yscale)))),
-    )
+    pair = ScalingPair(left, yscale, _logabsdet(left), _logabsdet(yscale))
     report = IterationReport(iterations, float(delta), bool(delta <= tol))
     return Frame(vecs), pair, report

@@ -26,7 +26,12 @@ interpolation on each half step (dense output), on a uniform time grid fine
 enough that consecutive samples differ in delta by at most rel_delta_step.
 Under fixed_step every step is accepted and recorded, with no interpolated
 samples.  Retained samples are thinned to at most max_samples by doubling
-the record stride.
+the record stride; once the stride is above one, a step's samples keep
+their first grid and only the ones the stride keeps are measured.  With
+record_samples off, only the first and final points are recorded; the
+integration, its counters and the final transforms are the same either way.
+Every accepted step is checked for growth of s and delta, whatever is
+recorded.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Frame, NonNegMatrix, OperatorTuple, ScalingObject
-from .discrete_scaling import ScalingPair, make_scaling_pair
+from .discrete_scaling import ScalingPair, full_transform, make_scaling_pair
 
 CSV_HEADER = "t,s,delta,ds_dt,dDelta_dt,movement,logdetX,logdetY"
 
@@ -51,6 +56,7 @@ class FlowOptions:
     rel_delta_step: float = 0.05      # max relative delta change between samples
     step_err_tol: float = 1e-8        # step-doubling error bound; sizes each step
     max_samples: int = 10_000         # retained-sample cap (stride doubling)
+    record_samples: bool = True       # False: record only the first and final points
     record_states: bool = False       # keep per-sample FlowState objects
     record_scalings: bool = False     # keep per-sample (X, Y) transforms
     fixed_step: float | None = None   # disable adaptivity (diagnostics)
@@ -266,7 +272,7 @@ class _FrameSystem(_System):
 
     def transforms(self, y):
         _, x, ylog = self._parts(y)
-        return x.copy(), np.diag(np.exp(ylog))
+        return x.copy(), np.exp(ylog)
 
     def obj(self, y):
         u, _, _ = self._parts(y)
@@ -327,10 +333,9 @@ class _MatrixSystem(_System):
         return np.exp(np.concatenate([y[self.sl_l: self.sl_x], y[self.sl_x: self.sl_y]]))
 
     def transforms(self, y):
-        # transforms of the UNSQUARED matrix: its squared entries reconstruct
-        # as (X_ii Y_jj)^2 * M0_ij
-        return (np.diag(np.exp(y[self.sl_l: self.sl_x])),
-                np.diag(np.exp(y[self.sl_x: self.sl_y])))
+        # diagonals of the transforms of the UNSQUARED matrix: its squared
+        # entries reconstruct as (X_ii Y_jj)^2 * M0_ij
+        return np.exp(y[self.sl_l: self.sl_x]), np.exp(y[self.sl_x: self.sl_y])
 
     def obj(self, y):
         return NonNegMatrix(self._mat(y))
@@ -355,7 +360,7 @@ def _hermite(th, h, ya, fa, yb, fb):
             + h * th * (1.0 - th) * ((1.0 - th) * fa - th * fb))
 
 
-def _dense_samples(system, t, h, ends, meas_a, meas_b, rel):
+def _dense_samples(system, t, h, ends, meas_a, meas_b, rel, stride=1):
     """Samples strictly inside the accepted step [t, t + h], as (t, y,
     measures) triples.  ends = (y, f(y), y_half, f(y_half), y_two, f(y_two))
     holds the step's start, midpoint and end states with their derivatives,
@@ -367,7 +372,9 @@ def _dense_samples(system, t, h, ends, meas_a, meas_b, rel):
     relative amount rel.  On an exact flow delta strictly decreases, so a
     grid along which it does not has reached the roundoff floor of delta:
     there the rates and the spacing measure only noise, and the grid is kept
-    as it is."""
+    as it is.  A recorder that keeps only every stride-th sample leaves the
+    spacing meaningless, so for stride > 1 the first grid is kept, unmeasured
+    (measures None): the recorder measures the samples it keeps."""
     (_, delta_a, speed2_a), (_, delta_b, speed2_b) = meas_a, meas_b
     if not 0.0 < delta_b < delta_a or rel >= 1.0:
         return []
@@ -382,6 +389,8 @@ def _dense_samples(system, t, h, ends, meas_a, meas_b, rel):
             else _hermite(2.0 * th - 1.0, 0.5 * h, y_half, f_half, y_two, f_two)
             for th in theta
         ]
+        if stride > 1:
+            return list(zip(t + theta * h, states, [None] * len(states)))
         meas = [system.measures(v) for v in states]
         deltas = np.array([delta_a] + [m[1] for m in meas] + [delta_b])
         changes = np.diff(deltas)
@@ -403,19 +412,20 @@ class _Recorder:
         self.stride = 1
         self.count = 0
 
-    def add(self, system, y, t, meas, force=False):
-        """Record the point y at time t; meas = system.measures(y)."""
+    def add(self, system, y, t, meas=None, force=False):
+        """Record the point y at time t; meas = system.measures(y), which is
+        computed here when None and the point is kept."""
         self.count += 1
         if not force and (self.count - 1) % self.stride != 0:
             return
-        s, delta, speed2 = meas
+        s, delta, speed2 = meas if meas is not None else system.measures(y)
         ldx, ldy = system.logdets(y)
         self.rows.append((t, s, delta, -2.0 * delta, -4.0 * speed2,
                           system.movement(y), ldx, ldy))
         if self.states is not None:
             self.states.append(FlowState(t, system.obj(y)))
         if self.scalings is not None:
-            self.scalings.append(system.transforms(y))
+            self.scalings.append(tuple(full_transform(a) for a in system.transforms(y)))
         if len(self.rows) > self.max_samples:
             keep = self.rows[::2]
             self.rows = keep
@@ -479,17 +489,22 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
                 if h < 1e-12 * max(1.0, t):
                     raise FlowError(f"step size underflow at t={t:.6g}")
                 continue
+        # the recorded rows need not hold every step, so check each one here
+        for i, name in enumerate(("s", "delta")):
+            if meas_two[i] > meas[i] + 1e-12 * max(1.0, abs(meas[i])):
+                raise FlowError(f"{name} increased along the trajectory at t={t:.6g}")
         f_two = system.f(y_two)
-        if opts.fixed_step is None:
+        if opts.record_samples and opts.fixed_step is None:
             ends = (y, fy, y_half, f_half, y_two, f_two)
             for t_s, y_s, meas_s in _dense_samples(system, t, h, ends, meas, meas_two,
-                                                   opts.rel_delta_step):
+                                                   opts.rel_delta_step, rec.stride):
                 rec.add(system, y_s, t_s, meas_s)
         y, fy, meas = y_two, f_two, meas_two
         t += h
         delta_cur = meas[1]
         steps += 1
-        rec.add(system, y, t, meas)
+        if opts.record_samples:
+            rec.add(system, y, t, meas)
         scalings = system.diag_scalings(y)
         if scalings is not None:
             scale_max = max(scale_max, float(scalings.max()))

@@ -118,6 +118,7 @@ def solve_basic(
     the output V satisfies delta(V) <= 10*final_delta.  Degenerate inputs
     (a zero vector, or vectors that do not span) cannot flow to balance, so
     they fall back to a fixed exact frame — correct, with no distance claim.
+    Unless opts says otherwise, the flow records only its end points.
     """
     d, n = u.d, u.n
     s = size_of(u)
@@ -131,7 +132,8 @@ def solve_basic(
         return v, SolveReport(dist(u, v), delta_of(v), "fallback", None)
 
     w = Frame(u.vectors * math.sqrt(d / s))
-    final, traj = frame_flow(w, target_delta=final_delta, t_max=t_max, opts=opts)
+    final, traj = frame_flow(w, target_delta=final_delta, t_max=t_max,
+                             opts=opts or FlowOptions(record_samples=False))
     s_out = size_of(final)
     v = Frame(final.vectors * math.sqrt(d / s_out))
     delta_v = delta_of(v)
@@ -267,7 +269,8 @@ def solve_smoothed(
     The closed-form constants behind the full guarantee need n larger than
     1e15 d^4/(zeta^2 kappa^2); at any feasible size that assumption fails
     and a warning says so — the per-iteration invariants still hold and are
-    what the tests assert.
+    what the tests assert.  Unless opts says otherwise, each flow records
+    only its end points.
     """
     d, n = u.d, u.n
     trace = PathTrace(zeta=zeta, kappa=kappa, seed=seed)
@@ -323,7 +326,8 @@ def solve_smoothed(
             )
 
         target = delta0 / (3.0 * 2.0**level)
-        flowed, traj = frame_flow(perturbed, target_delta=target, t_max=t_max, opts=opts)
+        flowed, traj = frame_flow(perturbed, target_delta=target, t_max=t_max,
+                                  opts=opts or FlowOptions(record_samples=False))
         if traj.status != "converged":
             raise FlowError(f"iteration {level}: flow hit t_max before the target")
         nxt = _renorm_size(flowed, d)

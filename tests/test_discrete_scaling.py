@@ -12,6 +12,7 @@ from frameflow import (
     size_of,
 )
 from frameflow.capacity import matrix_capacity, tight_example
+from frameflow.dynamics import FlowOptions, frame_flow
 from frameflow.discrete_scaling import (
     ScalingError,
     frame_alternating,
@@ -174,3 +175,33 @@ def test_frame_alternating_output_normalized(rng):
     assert report.converged
     assert size_of(g) == pytest.approx(4.0, abs=1e-10)
     np.testing.assert_allclose(g.norms2(), 4.0 / 9.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# storage of the accumulated transforms
+
+
+def test_frame_flow_scaling_pair_stores_right_side_as_vector():
+    fr, _ = near_parseval_frame(3, 500, 0.01, 3)
+    _, traj = frame_flow(fr, opts=FlowOptions(record_samples=False))
+    pair = traj.scaling
+    assert pair.right_diagonal and not pair.left_diagonal
+    assert pair.right_stored.shape == (500,) and pair.left_stored.shape == (3, 3)
+    right = pair.right
+    assert right.shape == (500, 500) and not right.flags.writeable
+    np.testing.assert_array_equal(right, np.diag(pair.right_stored))
+    with pytest.raises(ValueError):
+        right[0, 1] = 1.0
+    assert not pair.right_stored.flags.writeable
+    # log|det| by the dense formulas: log|diag| summed on the diagonal
+    # side, slogdet on the other
+    assert pair.right_logdet == float(np.sum(np.log(np.abs(np.diag(right)))))
+    assert pair.left_logdet == float(np.linalg.slogdet(pair.left)[1])
+
+
+def test_sinkhorn_scaling_pair_stores_vectors():
+    a = random_matrix(4, 6, 11)
+    _, pair, _ = sinkhorn(a)
+    assert pair.left_stored.shape == (4,) and pair.right_stored.shape == (6,)
+    np.testing.assert_array_equal(pair.left, np.diag(pair.left_stored))
+    assert pair.left_logdet == float(np.sum(np.log(pair.left_stored)))

@@ -18,9 +18,12 @@ from frameflow.capacity import matrix_capacity
 from frameflow.checks import finite_difference, validate_trace_csv
 from frameflow.dynamics import (
     CSV_HEADER,
+    FlowError,
     FlowOptions,
+    _FrameSystem,
     _MatrixSystem,
     _dense_samples,
+    _integrate,
     _rk4,
     frame_flow,
     matrix_flow,
@@ -342,6 +345,66 @@ def test_sample_spacing_must_be_positive():
     for rel in (0.0, -0.01, float("nan")):
         with pytest.raises(ValueError):
             FlowOptions(rel_delta_step=rel)
+
+
+@pytest.mark.parametrize("make, flow", _STEERING_INPUTS, ids=["frame", "operator", "matrix"])
+def test_endpoint_recording_keeps_first_and_final_rows(make, flow):
+    obj = make()
+    final_full, full = flow(obj)
+    final_ends, ends = flow(obj, opts=FlowOptions(record_samples=False))
+    assert len(full) > 2 and len(ends) == 2
+    for col in ("t", "s", "delta", "ds_dt", "dDelta_dt", "movement", "logdetX", "logdetY"):
+        np.testing.assert_array_equal(getattr(ends, col), getattr(full, col)[[0, -1]])
+    assert _final_bytes(final_ends) == _final_bytes(final_full)
+    assert (ends.status, ends.steps, ends.rejected_err, ends.rejected_delta, ends.evals) == (
+        full.status, full.steps, full.rejected_err, full.rejected_delta, full.evals)
+    assert ends.scaling.left.tobytes() == full.scaling.left.tobytes()
+    assert ends.scaling.right.tobytes() == full.scaling.right.tobytes()
+    assert (ends.scaling.left_logdet, ends.scaling.right_logdet) == (
+        full.scaling.left_logdet, full.scaling.right_logdet)
+    np.testing.assert_equal(
+        (ends.kappa_ratio, ends.scale_max, ends.scale_min),
+        (full.kappa_ratio, full.scale_max, full.scale_min))
+
+
+class _SpikedFrameSystem(_FrameSystem):
+    """Frame flow whose reported s jumps up on one measure, the end of the
+    first step, and is exact everywhere else."""
+
+    calls = 0
+
+    def measures(self, y):
+        self.calls += 1
+        s, delta, speed2 = super().measures(y)
+        return s + (0.01 if self.calls == 2 else 0.0), delta, speed2
+
+
+def test_s_growth_on_an_accepted_step_raises_without_samples():
+    fr, _ = near_parseval_frame(3, 8, 0.05, 41)
+    opts = FlowOptions(record_samples=False)
+    # the first attempted step is accepted, so the spike lands on its end
+    _, traj = _integrate(_FrameSystem(fr), None, 1e6, opts)
+    assert traj.steps > 1 and traj.rejected_err == traj.rejected_delta == 0
+    # the spike is gone by the final point, so the two recorded rows alone
+    # would not show it
+    with pytest.raises(FlowError, match="s increased"):
+        _integrate(_SpikedFrameSystem(fr), None, 1e6, opts)
+
+
+def test_thinned_recording_measures_only_kept_samples(monkeypatch):
+    calls = []
+    measures = _MatrixSystem.measures
+    monkeypatch.setattr(_MatrixSystem, "measures",
+                        lambda self, y: calls.append(1) or measures(self, y))
+    a = _near_uniform_matrix(3, 4, 30)
+    _, thin = matrix_flow(a, opts=FlowOptions(max_samples=64))
+    thin_calls = len(calls)
+    _, dense = matrix_flow(a, opts=FlowOptions(max_samples=100_000))
+    assert len(thin) <= 65 and len(dense) > 4 * len(thin)
+    # every kept row and every step costs at most two measures; measuring
+    # each sample before thinning it away took 492 here
+    assert thin_calls <= 2 * (len(thin) + thin.steps)
+    assert thin.rejected_err == thin.rejected_delta == 0
 
 
 def test_t_max_reported():

@@ -13,6 +13,7 @@ from frameflow import (
     is_doubly_stochastic,
     size_of,
 )
+from frameflow import paulsen
 from frameflow._jacobi import jacobi_eigh
 from frameflow.capacity import frame_capacity, frame_weight_minimizer, matrix_capacity
 from frameflow.discrete_scaling import operator_sinkhorn
@@ -50,6 +51,20 @@ def test_basic_random_input():
     assert np.abs(v.norms2() - 3.0 / 12.0).max() <= 1e-8
     assert report.dist == pytest.approx(dist(fr, v), rel=1e-12)
     assert report.dist <= 100.0 * 9 * 12 * eps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_basic_endpoint_recording_gives_the_same_answer(seed):
+    fr, _ = near_parseval_frame(3, 12, 0.01, (seed, 0))
+    v, report = solve_basic(fr)
+    v_full, report_full = solve_basic(fr, opts=FlowOptions())
+    assert v.vectors.tobytes() == v_full.vectors.tobytes()
+    assert (report.dist, report.delta_final, report.status) == (
+        report_full.dist, report_full.delta_final, report_full.status)
+    traj, full = report.traj, report_full.traj
+    assert len(traj) == 2 and len(full) > 2
+    assert traj.t[-1] == full.t[-1]
+    assert (traj.status, traj.steps, traj.evals) == (full.status, full.steps, full.evals)
 
 
 def test_basic_degenerate_falls_back():
@@ -246,6 +261,33 @@ def test_smoothed_demo_run_invariants():
         assert rec["movement"] <= 100.0 * 3**1.5 * np.sqrt(rec["delta_before"])
     assert size_of(v) == pytest.approx(3.0, abs=1e-12)
     assert delta_of(v) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_smoothed_endpoint_recording_gives_the_same_answer(seed, monkeypatch):
+    flows = []
+    flow = paulsen.frame_flow
+
+    def recorded_flow(*args, **kwargs):
+        out = flow(*args, **kwargs)
+        flows.append(out[1])
+        return out
+
+    monkeypatch.setattr(paulsen, "frame_flow", recorded_flow)
+    fr, _ = near_parseval_frame(3, 60, 0.01, seed)
+    with pytest.warns(RuntimeWarning):
+        v, trace = solve_smoothed(fr, seed=seed)
+    ends, flows[:] = flows[:], []
+    with pytest.warns(RuntimeWarning):
+        v_full, trace_full = solve_smoothed(fr, seed=seed, opts=FlowOptions())
+    assert v.vectors.tobytes() == v_full.vectors.tobytes()
+    assert dist(fr, v) == dist(fr, v_full)
+    assert trace.records and trace.to_dict() == trace_full.to_dict()
+    assert len(ends) == len(flows) == len(trace.records)
+    for traj, full in zip(ends, flows):
+        assert len(traj) == min(len(full), 2)
+        assert traj.t[-1] == full.t[-1]
+        assert (traj.status, traj.steps, traj.evals) == (full.status, full.steps, full.evals)
 
 
 def test_smoothed_downgrades_unbalanced_input():
