@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +44,8 @@ from .dynamics import (
     operator_flow,
     validation_options,
 )
-from .generate import harmonic_frame, near_parseval_frame, random_frame, random_matrix, random_operator
-from .paulsen import perturb, solve_basic, solve_smoothed
+from .generate import near_parseval_frame, random_frame, random_matrix, random_operator
+from .paulsen import perturb, perturbation_stats, solve_basic, solve_smoothed
 
 
 @dataclass
@@ -70,6 +69,20 @@ def finite_difference(t: np.ndarray, f: np.ndarray) -> np.ndarray:
         + (h2 - h1) / (h1 * h2) * f[1:-1]
         + h1 / (h2 * (h1 + h2)) * f[2:]
     )
+
+
+def identity_errors(t: np.ndarray, s: np.ndarray, delta: np.ndarray,
+                    dDelta_dt: np.ndarray) -> tuple[float, float]:
+    """Worst relative residuals of the flow identities ds/dt = -2 delta and
+    ddelta/dt = dDelta_dt on a sampled trajectory, from finite differences
+    at the interior samples, each divided by max(1, delta).  (0.0, 0.0) with
+    fewer than three samples."""
+    if t.size < 3:
+        return 0.0, 0.0
+    scale = np.maximum(1.0, delta[1:-1])
+    err_s = np.abs(finite_difference(t, s) + 2.0 * delta[1:-1]) / scale
+    err_d = np.abs(finite_difference(t, delta) - dDelta_dt[1:-1]) / scale
+    return float(err_s.max()), float(err_d.max())
 
 
 def _permanent_positive(support: np.ndarray) -> bool:
@@ -242,13 +255,8 @@ def _flow_triple(seed: int):
 
 
 def check_flow_s_identity(seed: int = 0) -> CheckResult:
-    worst = 0.0
-    for _, _, traj in _flow_triple(seed):
-        if traj.t.size < 3:
-            continue
-        fd = finite_difference(traj.t, traj.s)
-        err = np.abs(fd + 2.0 * traj.delta[1:-1]) / np.maximum(1.0, traj.delta[1:-1])
-        worst = max(worst, float(err.max()))
+    worst = max(identity_errors(traj.t, traj.s, traj.delta, traj.dDelta_dt)[0]
+                for _, _, traj in _flow_triple(seed))
     return _result(
         "flow_s_identity",
         worst <= 1e-5,
@@ -257,13 +265,8 @@ def check_flow_s_identity(seed: int = 0) -> CheckResult:
 
 
 def check_flow_delta_identity(seed: int = 0) -> CheckResult:
-    worst = 0.0
-    for _, _, traj in _flow_triple(seed):
-        if traj.t.size < 3:
-            continue
-        fd = finite_difference(traj.t, traj.delta)
-        err = np.abs(fd - traj.dDelta_dt[1:-1]) / np.maximum(1.0, traj.delta[1:-1])
-        worst = max(worst, float(err.max()))
+    worst = max(identity_errors(traj.t, traj.s, traj.delta, traj.dDelta_dt)[1]
+                for _, _, traj in _flow_triple(seed))
     return _result(
         "flow_delta_identity",
         worst <= 1e-4,
@@ -469,17 +472,12 @@ def check_paulsen_perturb_constraints(seed: int = 0) -> CheckResult:
     worst_norm = worst_inner = worst_outer = worst_move = -math.inf
     for i in range(5):
         fr, _ = near_parseval_frame(d, n, 0.01, (seed, 16, i))
-        base = Frame(fr.vectors * math.sqrt(d / n) / np.sqrt(fr.norms2())[:, None])
         w, noise = perturb(fr, sigma2, (seed, 16, 100 + i))
-        worst_norm = max(worst_norm, float(np.abs(w.norms2() - d / n).max()))
-        znorms = np.linalg.norm(noise.z, axis=1)
-        unorms = np.linalg.norm(base.vectors, axis=1)
-        inner = np.abs(np.einsum("nd,nd->n", base.vectors, noise.z))
-        scale_i = np.maximum(unorms * znorms, 1e-300)
-        worst_inner = max(worst_inner, float((inner / scale_i).max()))
-        outer = np.linalg.norm(base.vectors.T @ noise.z)
-        worst_outer = max(worst_outer, outer / max(float((unorms * znorms).sum()), 1e-300))
-        worst_move = max(worst_move, dist(base, w) - 4.0 * float((znorms**2).sum()))
+        stats = perturbation_stats(fr, w, noise)
+        worst_norm = max(worst_norm, stats["max_norm_error"])
+        worst_inner = max(worst_inner, stats["max_inner_violation"])
+        worst_outer = max(worst_outer, stats["outer_violation"])
+        worst_move = max(worst_move, stats["dist"] - 4.0 * stats["z_mass"])
     ok = worst_norm <= 1e-14 and worst_inner <= 1e-10 and worst_outer <= 1e-9 and worst_move <= 0
     return _result(
         "paulsen_perturb_constraints",
@@ -569,10 +567,7 @@ def validate_trace_csv(text: str) -> list[CheckResult]:
                 f"worst increase s {inc_s:.3e}, delta {inc_d:.3e}")
     )
     if t.size >= 3:
-        fd_s = finite_difference(t, s)
-        err_s = float((np.abs(fd_s + 2 * delta[1:-1]) / np.maximum(1.0, delta[1:-1])).max())
-        fd_d = finite_difference(t, delta)
-        err_d = float((np.abs(fd_d - ddelta[1:-1]) / np.maximum(1.0, delta[1:-1])).max())
+        err_s, err_d = identity_errors(t, s, delta, ddelta)
         results.append(_result("trace_s_identity", err_s <= 1e-5, f"rel err {err_s:.3e}"))
         results.append(_result("trace_delta_identity", err_d <= 1e-4, f"rel err {err_d:.3e}"))
     return results

@@ -49,7 +49,6 @@ from .core import (
 from .discrete_scaling import ScalingError
 from .dynamics import (
     FlowError,
-    FlowOptions,
     frame_flow,
     matrix_flow,
     operator_flow,
@@ -57,7 +56,7 @@ from .dynamics import (
     validation_options,
 )
 from .generate import near_parseval_frame, random_matrix, random_operator
-from .paulsen import PerturbationError, perturb, solve_basic, solve_smoothed
+from .paulsen import PerturbationError, perturb, perturbation_stats, solve_basic, solve_smoothed
 from . import checks as checks_mod
 
 
@@ -72,6 +71,9 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclasses.dataclass
 class RunConfig:
+    """Merged flags and config file.  Solver and capacity parameters left at
+    None take the library's defaults."""
+
     seed: int = 0
     d: int = 3
     n: int = 12
@@ -86,24 +88,41 @@ class RunConfig:
     infile: str | None = None
     kind: str = "frame"
     mode: str = "basic"
-    zeta: float = 0.1
-    kappa: float = 1e-3
-    t_max: float = 1e6
+    zeta: float | None = None
+    kappa: float | None = None
+    t_max: float | None = None
     final_delta: float | None = None
 
     def validate(self) -> None:
-        for name in ("d", "n", "m", "k", "trials"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"--{name} must be a positive integer")
-        for name in ("eps", "sigma2"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"--{name} must be nonnegative")
-        for name in ("tol", "final_delta"):
+        """Check the type and range of every field.  Ranges are written as
+        lo <= x < hi and tested negated, so NaN fails every one of them."""
+        for name in ("seed", "d", "n", "m", "k", "trials"):
+            value, lo = getattr(self, name), 0 if name == "seed" else 1
+            if type(value) is not int or not lo <= value:
+                raise UsageError(f"{name} must be an integer >= {lo}")
+        for name, lo, hi in (("eps", 0.0, 1.0), ("sigma2", 0.0, math.inf)):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise UsageError(f"--{name.replace('_', '-')} must be positive")
-        if self.seed < 0:
-            raise UsageError("--seed must be nonnegative")
+            if not (_is_real(value) and lo <= value < hi):
+                raise UsageError(f"{name} must be a number in [{lo:g}, {hi:g})")
+        for name in ("tol", "final_delta", "zeta", "kappa", "t_max"):
+            value = getattr(self, name)
+            if value is not None and not (_is_real(value) and 0.0 < value < math.inf):
+                raise UsageError(f"{name} must be a positive finite number")
+        for name, types in (("out", (str, type(None))), ("infile", (str, type(None))),
+                            ("demo", bool)):
+            if not isinstance(getattr(self, name), types):
+                raise UsageError(f"{name} must not be {getattr(self, name)!r}")
+        if self.mode not in ("basic", "smoothed"):
+            raise UsageError(f"mode must be basic or smoothed, not {self.mode!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _given(**params) -> dict:
+    """The keyword arguments that are set; the callee supplies the rest."""
+    return {key: value for key, value in params.items() if value is not None}
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
@@ -227,7 +246,8 @@ def cmd_flow(cfg: RunConfig) -> int:
     flow = flows[type(obj)]
     # fine recording profile so the emitted trace re-validates against the
     # derivative identities under `check`
-    _, traj = flow(obj, target_delta=cfg.tol, t_max=cfg.t_max, opts=validation_options())
+    _, traj = flow(obj, opts=validation_options(),
+                   **_given(target_delta=cfg.tol, t_max=cfg.t_max))
     _emit(trajectory_csv(traj), cfg.out)
     return 0
 
@@ -257,12 +277,9 @@ def cmd_solve(cfg: RunConfig) -> int:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 v, trace = solve_smoothed(
-                    frame,
-                    zeta=cfg.zeta,
-                    kappa=cfg.kappa,
-                    final_delta=cfg.final_delta if cfg.final_delta is not None else 1e-10,
-                    seed=cfg.seed + trial,
-                    t_max=cfg.t_max,
+                    frame, seed=cfg.seed + trial,
+                    **_given(zeta=cfg.zeta, kappa=cfg.kappa,
+                             final_delta=cfg.final_delta, t_max=cfg.t_max),
                 )
             rec["trace"] = trace.to_dict()
             rec["output"] = to_dict(v)
@@ -270,9 +287,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             rec["output_delta"] = delta_of(v)
         else:
             v, report = solve_basic(
-                frame,
-                final_delta=cfg.final_delta if cfg.final_delta is not None else 3e-17,
-                t_max=cfg.t_max,
+                frame, **_given(final_delta=cfg.final_delta, t_max=cfg.t_max)
             )
             rec["output"] = to_dict(v)
             rec["dist"] = report.dist
@@ -289,44 +304,26 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_capacity(cfg: RunConfig) -> int:
     obj = _load_object(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    doc: dict = {"command": "capacity"}
+    tol = _given(tol=cfg.tol)
     if isinstance(obj, NonNegMatrix):
-        scaling = matrix_capacity(obj, tol=tol)
+        kind, res = "matrix", matrix_capacity(obj, **tol)
+    elif isinstance(obj, Frame):
+        kind, res = "frame", frame_capacity(obj)
+    else:
+        kind, res = "operator", operator_capacity(obj, **tol)
+    doc = {
+        "command": "capacity", "kind": kind, "value": res.value, "method": res.method,
+        "certificate": res.certificate, "lower": res.lower, "upper": res.upper,
+        "converged": res.converged,
+    }
+    if kind == "matrix":
         # both routes open with the same zero check (a Hopcroft-Karp run on
         # the lifted support, most of the cost on large tight examples), and
         # a zero result reports convex_value 0.0 and gap 0.0 either way
-        if scaling.method == "zero-detected":
-            convex = scaling
-        else:
-            convex = matrix_capacity_convex(obj)
-        agree = abs(scaling.value - convex.value) / max(scaling.value, convex.value, 1e-300)
-        doc.update(
-            kind="matrix",
-            value=scaling.value,
-            method=scaling.method,
-            certificate=scaling.certificate,
-            lower=scaling.lower,
-            upper=scaling.upper,
-            converged=scaling.converged,
-            convex_value=convex.value,
-            convex_converged=convex.converged,
-            dual_relative_gap=agree,
-        )
-    elif isinstance(obj, Frame):
-        res = frame_capacity(obj)
-        doc.update(
-            kind="frame", value=res.value, method=res.method,
-            certificate=res.certificate, lower=res.lower, upper=res.upper,
-            converged=res.converged,
-        )
-    else:
-        res = operator_capacity(obj, tol=tol)
-        doc.update(
-            kind="operator", value=res.value, method=res.method,
-            certificate=res.certificate, lower=res.lower, upper=res.upper,
-            converged=res.converged,
-        )
+        convex = res if res.method == "zero-detected" else matrix_capacity_convex(obj)
+        gap = abs(res.value - convex.value) / max(res.value, convex.value, 1e-300)
+        doc.update(convex_value=convex.value, convex_converged=convex.converged,
+                   dual_relative_gap=gap)
     doc["size"] = size_of(obj)
     doc["delta"] = delta_of(obj)
     _emit(_dump_report(doc), cfg.out)
@@ -341,33 +338,13 @@ def cmd_perturb(cfg: RunConfig) -> int:
         frame = obj
     else:
         frame = near_parseval_frame(cfg.d, cfg.n, cfg.eps, (cfg.seed, 0))[0]
-    d, n = frame.d, frame.n
-    base = Frame(frame.vectors * math.sqrt(d / n) / np.sqrt(frame.norms2())[:, None])
     w, noise = perturb(frame, cfg.sigma2, cfg.seed)
-    znorms = np.linalg.norm(noise.z, axis=1)
-    unorms = np.linalg.norm(base.vectors, axis=1)
-    inner = float(
-        (np.abs(np.einsum("nd,nd->n", base.vectors, noise.z))
-         / np.maximum(unorms * znorms, 1e-300)).max()
-    )
-    outer = float(
-        np.linalg.norm(base.vectors.T @ noise.z)
-        / max(float((unorms * znorms).sum()), 1e-300)
-    )
     doc = {
         "command": "perturb",
         "seed": cfg.seed,
         "sigma2": cfg.sigma2,
         "output": to_dict(w),
-        "stats": {
-            "dist": dist(base, w),
-            "delta_before": delta_of(base),
-            "delta_after": delta_of(w),
-            "max_inner_violation": inner,
-            "outer_violation": outer,
-            "max_norm_error": float(np.abs(w.norms2() - d / n).max()),
-            "z_mass": float((znorms**2).sum()),
-        },
+        "stats": perturbation_stats(frame, w, noise),
     }
     _emit(_dump_report(doc), cfg.out)
     return 0

@@ -60,7 +60,6 @@ class FlowOptions:
     record_states: bool = False       # keep per-sample FlowState objects
     record_scalings: bool = False     # keep per-sample (X, Y) transforms
     fixed_step: float | None = None   # disable adaptivity (diagnostics)
-    h0: float | None = None           # initial step override
 
     def __post_init__(self):
         if not self.rel_delta_step > 0.0:
@@ -459,8 +458,7 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
     if status is None:
         fy = system.f(y)
         rate0 = 4.0 * speed2 / delta_cur if delta_cur > 0 else 1.0
-        h = opts.h0 if opts.h0 is not None else 0.02 / max(rate0, 1e-9)
-        h = min(h, t_max)
+        h = min(0.02 / max(rate0, 1e-9), t_max)
         if opts.fixed_step is not None:
             h = opts.fixed_step
 
@@ -590,28 +588,15 @@ class RateReport:
     ok: bool
 
 
-def _strong_census(mat: np.ndarray, alpha: float) -> bool:
-    m, n = mat.shape
-    below = mat < alpha
-    return bool(below.sum(axis=1).max(initial=0) <= n / 8000.0
-                and below.sum(axis=0).max(initial=0) <= m / 8000.0)
-
-
-def _weak_census(mat: np.ndarray, alpha: float, beta: float) -> bool:
-    n = mat.shape[1]
-    if mat.max(axis=0).min() < alpha:
-        return False
-    below = (mat < alpha).sum(axis=1)
-    return bool(below.max(initial=0) <= beta * n + 1e-12)
-
-
 def rate_monitor(traj: Trajectory, alpha: float, variant: str = "strong") -> RateReport:
     """Check the decay-rate inequality of a matrix flow sample by sample.
 
     strong: -ddelta/dt >= alpha m n delta / 32000, requiring every row to
     have at most n/8000 and every column at most m/8000 entries below alpha.
     weak: -ddelta/dt >= alpha n delta / 8192000, requiring every column to
-    reach alpha and every row to have at most beta n entries below alpha.
+    reach alpha and every row to have at most beta n entries below alpha
+    (beta = PSEUDORANDOM_BETA).  Both preconditions are read from the census
+    of ``paulsen.certify_pseudorandom``, which requires alpha > 0.
 
     Violations are flagged only at samples where the precondition held,
     which needs per-sample states (run the flow with record_states=True).
@@ -633,13 +618,11 @@ def rate_monitor(traj: Trajectory, alpha: float, variant: str = "strong") -> Rat
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bound > 0, neg_rate / np.where(bound > 0, bound, 1.0), np.inf)
 
-    held = np.zeros(len(traj.t), dtype=bool)
-    for i, st in enumerate(traj.states):
-        entries = st.obj.entries
-        if variant == "strong":
-            held[i] = _strong_census(entries, alpha)
-        else:
-            held[i] = _weak_census(entries, alpha, PSEUDORANDOM_BETA)
+    from .paulsen import certify_pseudorandom   # paulsen imports this module
+
+    census = [certify_pseudorandom(st.obj, alpha, PSEUDORANDOM_BETA) for st in traj.states]
+    held = np.array([c.strong_holds if variant == "strong" else c.holds for c in census],
+                    dtype=bool)
 
     viol = np.nonzero(held & (ratios < 1.0))[0]
     return RateReport(variant, alpha, ratios, held, viol, bool(viol.size == 0))

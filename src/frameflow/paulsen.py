@@ -164,6 +164,16 @@ def diagonalize_right_scaling(r: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 # perturbation
 
 
+def _equal_norm(v: np.ndarray, failure: str = "zero vector cannot be renormalized") -> np.ndarray:
+    """Rows of the n x d array v rescaled to squared norm d/n; raises
+    PerturbationError(failure) when a row is zero."""
+    n, d = v.shape
+    norms2 = np.einsum("nd,nd->n", v, v)
+    if norms2.min() <= 0.0:
+        raise PerturbationError(failure)
+    return v * math.sqrt(d / n) / np.sqrt(norms2)[:, None]
+
+
 def perturb(fr: Frame, sigma2: float, seed) -> tuple[Frame, PerturbationNoise]:
     """Random tangential perturbation with the outer-product constraint.
 
@@ -173,13 +183,10 @@ def perturb(fr: Frame, sigma2: float, seed) -> tuple[Frame, PerturbationNoise]:
     with sum_j u_j z_j^T = 0, and the perturbed vectors u_j + z_j are
     renormalized back to squared norm d/n.
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
     d, n = fr.d, fr.n
-    norms2 = fr.norms2()
-    if norms2.min() <= 0.0:
-        raise PerturbationError("zero vector cannot be renormalized")
-    base = fr.vectors * math.sqrt(d / n) / np.sqrt(norms2)[:, None]
+    base = _equal_norm(fr.vectors)
 
     rng = np.random.Generator(np.random.Philox(seed))
     x = rng.normal(0.0, math.sqrt(sigma2), size=(n, d)) if sigma2 > 0 else np.zeros((n, d))
@@ -212,12 +219,38 @@ def perturb(fr: Frame, sigma2: float, seed) -> tuple[Frame, PerturbationNoise]:
         z -= (q @ z) * q
     z = z.reshape(n, d)
 
-    v = base + z
-    vnorms = np.sqrt(np.einsum("nd,nd->n", v, v))
-    if vnorms.min() <= 0.0:
-        raise PerturbationError("perturbation annihilated a vector")
-    w = v * math.sqrt(d / n) / vnorms[:, None]
+    w = _equal_norm(base + z, "perturbation annihilated a vector")
     return Frame(w), PerturbationNoise(float(sigma2), x, y, z, seed)
+
+
+def perturbation_stats(fr: Frame, w: Frame, noise: PerturbationNoise) -> dict:
+    """Constraint statistics of w, noise = perturb(fr, ...), measured against
+    the equal-norm base u of fr: the squared distance moved, the imbalance
+    before and after, the worst relative tangential violation
+    |<u_j, z_j>| / (|u_j| |z_j|), the outer-product violation
+    |sum_j u_j z_j^T| / sum_j |u_j| |z_j|, the worst squared-norm error of w
+    and the noise mass sum_j |z_j|^2."""
+    d, n = fr.d, fr.n
+    base = Frame(_equal_norm(fr.vectors))
+    znorms = np.linalg.norm(noise.z, axis=1)
+    unorms = np.linalg.norm(base.vectors, axis=1)
+    inner = float(
+        (np.abs(np.einsum("nd,nd->n", base.vectors, noise.z))
+         / np.maximum(unorms * znorms, 1e-300)).max()
+    )
+    outer = float(
+        np.linalg.norm(base.vectors.T @ noise.z)
+        / max(float((unorms * znorms).sum()), 1e-300)
+    )
+    return {
+        "dist": dist(base, w),
+        "delta_before": delta_of(base),
+        "delta_after": delta_of(w),
+        "max_inner_violation": inner,
+        "outer_violation": outer,
+        "max_norm_error": float(np.abs(w.norms2() - d / n).max()),
+        "z_mass": float((znorms**2).sum()),
+    }
 
 
 def certify_pseudorandom(b: NonNegMatrix, alpha: float, beta: float) -> PseudorandomReport:

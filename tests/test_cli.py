@@ -2,6 +2,7 @@
 flow traces, solve reports, capacity reports, exit codes, config handling,
 and byte determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import frameflow
 from frameflow import checks
 from frameflow.capacity import tight_example
-from frameflow.cli import _thread_count, main
+from frameflow.cli import RunConfig, _thread_count, main
 from frameflow.core import Frame, eps_nearness, from_dict
 from frameflow.dynamics import validation_options
 
@@ -119,6 +120,41 @@ def test_bad_flag_values(capsys):
     assert run(capsys, "gen", "--eps", "-0.5")[0] == 1
     assert run(capsys, "gen", "--seed", "-1")[0] == 1
     assert run(capsys, "flow", "--tol", "0", "--in", "x.json")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--basic", "--final-delta", "nan"],
+    ["solve", "--smoothed", "--zeta", "0"],
+    ["solve", "--smoothed", "--kappa", "0"],
+    ["solve", "--basic", "--eps", "1.5"],
+    ["solve", "--smoothed", "--zeta", "-1"],
+    ["perturb", "--sigma2", "nan"],
+    ["capacity", "--tol", "inf"],
+])
+def test_out_of_range_flag_is_usage_error(capsys, argv):
+    rc, captured = run(capsys, *argv)
+    field = argv[-2].removeprefix("--").replace("-", "_")
+    assert rc == 1 and captured.err.startswith(f"usage error: {field} "), captured.err
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)
+                                  if "float" in str(f.type)])
+def test_nan_config_value_is_usage_error(tmp_path, capsys, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: float("nan")}))
+    rc, captured = run(capsys, "gen", "--config", str(cfg), "--d", "2", "--n", "3")
+    assert rc == 1 and captured.err.startswith(f"usage error: {name} "), captured.err
+
+
+@pytest.mark.parametrize("config", [
+    {"d": "3"}, {"eps": None}, {"trials": True}, {"n": 4.0}, {"infile": 7}, {"mode": "fast"},
+])
+def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc, captured = run(capsys, "gen", "--config", str(cfg))
+    name = next(iter(config))
+    assert rc == 1 and captured.err.startswith(f"usage error: {name} "), captured.err
 
 
 def test_flow_requires_input(capsys):

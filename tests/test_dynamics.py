@@ -15,7 +15,7 @@ from frameflow import (
     size_of,
 )
 from frameflow.capacity import matrix_capacity
-from frameflow.checks import finite_difference, validate_trace_csv
+from frameflow.checks import identity_errors, validate_trace_csv
 from frameflow.dynamics import (
     CSV_HEADER,
     FlowError,
@@ -101,14 +101,9 @@ def test_flow_derivative_identities(make):
         "NonNegMatrix": matrix_flow,
     }[type(obj).__name__]
     _, traj = flow(obj, opts=validation_options())
-    delta_in = traj.delta[1:-1]
-    scale = np.maximum(1.0, delta_in)
-
-    fd_s = finite_difference(traj.t, traj.s)
-    assert np.max(np.abs(fd_s + 2.0 * delta_in) / scale) <= 1e-5
-
-    fd_d = finite_difference(traj.t, traj.delta)
-    assert np.max(np.abs(fd_d - traj.dDelta_dt[1:-1]) / scale) <= 1e-4
+    err_s, err_d = identity_errors(traj.t, traj.s, traj.delta, traj.dDelta_dt)
+    assert err_s <= 1e-5
+    assert err_d <= 1e-4
 
 
 def test_trace_of_drift_matrices_vanishes():
@@ -233,6 +228,40 @@ def test_csv_layout_and_revalidation():
 
     results = validate_trace_csv(text)
     assert results and all(r.ok for r in results), [r.detail for r in results if not r.ok]
+
+
+def test_identity_errors_exact_on_quadratic_s():
+    # delta linear and s quadratic in t with ds/dt = -2 delta: the
+    # nonuniform-grid finite difference is exact on both, so the residuals
+    # sit at roundoff (about eps |s| / min step, 1e-13), and an offset
+    # injected into dDelta/dt comes back as the delta residual (delta < 1,
+    # so the scale is 1)
+    rng = np.random.default_rng(5)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.3, 40))])
+    a, b = 0.9, 0.1
+    delta = a - b * t
+    s = 3.0 - 2.0 * (a * t - 0.5 * b * t * t)
+    ddelta = np.full_like(t, -b)
+    assert delta.min() > 0.0
+    err_s, err_d = identity_errors(t, s, delta, ddelta)
+    assert err_s <= 1e-12 and err_d <= 1e-12
+    offset = 1e-3
+    _, err_off = identity_errors(t, s, delta, ddelta + offset)
+    assert abs(err_off - offset) <= 1e-12
+    assert identity_errors(t[:2], s[:2], delta[:2], ddelta[:2]) == (0.0, 0.0)
+
+
+def test_trace_revalidation_matches_identity_errors():
+    # .17g round-trips float64, so the CSV check sees the trajectory's own
+    # residuals; with fewer than three rows it reports no identity rows
+    _, traj = matrix_flow(random_matrix(3, 4, 9), opts=validation_options())
+    err_s, err_d = identity_errors(traj.t, traj.s, traj.delta, traj.dDelta_dt)
+    details = {r.name: r.detail for r in validate_trace_csv(trajectory_csv(traj))}
+    assert details["trace_s_identity"] == f"rel err {err_s:.3e}"
+    assert details["trace_delta_identity"] == f"rel err {err_d:.3e}"
+    two_rows = "\n".join(trajectory_csv(traj).split("\n")[:3]) + "\n"
+    names = [r.name for r in validate_trace_csv(two_rows)]
+    assert names == ["trace_schema", "trace_monotone"]
 
 
 _STEERING_INPUTS = [

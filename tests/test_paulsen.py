@@ -1,5 +1,7 @@
 """End-to-end pipelines, the constrained perturbation, and rate certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from frameflow.dynamics import FlowOptions, matrix_flow
 from frameflow.generate import harmonic_frame, near_parseval_frame, random_frame
 from frameflow.paulsen import (
     PerturbationError,
+    PerturbationNoise,
     capacity_from_rate,
     certify_pseudorandom,
     diagonalize_right_scaling,
     frame_to_matrix,
     perturb,
+    perturbation_stats,
     solve_basic,
     solve_smoothed,
 )
@@ -121,6 +125,20 @@ def test_perturb_constraints_hold():
         assert np.linalg.norm(outer) <= 1e-9 * max(budget, 1e-30)
         # pointwise movement bound from the projection geometry
         assert dist(fr, w) <= 4.0 * float(np.sum(noise.z**2)) + 1e-20
+
+
+def test_perturbation_stats_of_radial_noise():
+    # z_j = u_j is purely radial: the tangential violation is total, and on
+    # a tight equal-norm frame sum_j u_j u_j^T = I gives |I|_F / d = 1/sqrt(d)
+    d, n = 3, 8
+    fr = harmonic_frame(d, n)
+    zeros = np.zeros((n, d))
+    noise = PerturbationNoise(0.0, zeros, zeros, fr.vectors.copy(), 0)
+    stats = perturbation_stats(fr, fr, noise)
+    assert abs(stats["max_inner_violation"] - 1.0) <= 1e-15
+    assert abs(stats["outer_violation"] - 1.0 / math.sqrt(d)) <= 1e-15
+    assert abs(stats["z_mass"] - d) <= 1e-14
+    assert stats["dist"] == 0.0
 
 
 def test_perturb_mean_movement():
