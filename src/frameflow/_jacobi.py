@@ -1,110 +1,50 @@
-"""Cyclic Jacobi eigensolver for small symmetric matrices.
+"""Symmetric spectra through LAPACK (``np.linalg.eigh``).
 
-All symmetric spectra in this package go through here (sizes are at most a
-few hundred, and the big ones are diagonal Gram matrices that hit the early
-exit).  Off-diagonal mass below OFFDIAG_TOL * ||A||_F counts as converged.
+The module and its three public names are those of the cyclic Jacobi solver
+it replaced: the benchmark tracer (``perfbench/tracer.py``) looks up
+``jacobi_eigh``, ``sym_inv_sqrt`` and ``sym_sqrt`` here by name.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-OFFDIAG_TOL = 1e-12
-# eigenvalues below SINGULAR_RTOL * max eigenvalue are treated as zero when
+# eigenvalues at or below SINGULAR_RTOL * max eigenvalue count as zero when
 # inverting / square-rooting
 SINGULAR_RTOL = 1e-13
 
-_MAX_SWEEPS = 60
 
-
-def _offdiag_mass(a: np.ndarray) -> float:
-    # summed directly over the off-diagonal entries: the subtraction form
-    # sum(a^2) - sum(diag^2) cancels catastrophically near diagonal matrices
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sum(off * off))
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = OFFDIAG_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (w, V) with eigenvalues w ascending and eigenvectors in the
-    columns of V, so that  a == V @ diag(w) @ V.T  up to roundoff.
-    """
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) with eigenvalues w ascending and eigenvectors in the columns
+    of V, so that  a == V @ diag(w) @ V.T  up to roundoff.  Raises
+    ValueError unless a is square, finite and symmetric."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix expected, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(a).max(initial=0.0))):
         raise ValueError("matrix is not symmetric")
-
-    work = 0.5 * (a + a.T)
-    v = np.eye(n)
-    fro2 = float(np.sum(work * work))
-    thresh = (tol * math.sqrt(fro2)) ** 2 if fro2 > 0.0 else 0.0
-
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_mass(work) <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = work[p, p], work[q, q]
-                # rotation angle zeroing the (p, q) entry
-                theta = 0.5 * (aqq - app) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * work[:, p] - s * work[:, q]
-                rot_q = s * work[:, p] + c * work[:, q]
-                work[:, p], work[:, q] = rot_p, rot_q
-                rot_p = c * work[p, :] - s * work[q, :]
-                rot_q = s * work[p, :] + c * work[q, :]
-                work[p, :], work[q, :] = rot_p, rot_q
-                work[p, q] = work[q, p] = 0.0
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    else:
-        if _offdiag_mass(work) > max(thresh, 1e-20):
-            raise RuntimeError("jacobi sweep failed to converge")
-
-    w = np.diag(work).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
-def sym_func(a: np.ndarray, fn, singular: str = "raise") -> np.ndarray:
-    """Apply a scalar function to the spectrum of a symmetric PSD matrix.
-
-    `singular` says what to do with eigenvalues below the relative cutoff:
-    "raise" (default) or "zero" (pseudo-apply, used nowhere critical).
-    """
+def _sqrt_spectrum(a: np.ndarray, inverse: bool) -> np.ndarray:
+    """a^(-1/2), raising LinAlgError if a is numerically singular, or else
+    a^(1/2) with the eigenvalues at or below the cutoff taken as zero."""
     w, v = jacobi_eigh(a)
-    wmax = float(w[-1]) if w.size else 0.0
-    cut = SINGULAR_RTOL * max(wmax, 0.0)
-    out = np.empty_like(w)
-    for i, wi in enumerate(w):
-        if wi <= cut:
-            if singular == "raise":
-                raise np.linalg.LinAlgError(
-                    f"matrix is numerically singular (eigenvalue {wi:.3e} <= {cut:.3e})"
-                )
-            out[i] = 0.0
-        else:
-            out[i] = fn(wi)
-    return (v * out) @ v.T
+    cut = SINGULAR_RTOL * max(float(w[-1]), 0.0) if w.size else 0.0
+    if inverse and w.size and w[0] <= cut:
+        raise np.linalg.LinAlgError(
+            f"matrix is numerically singular (eigenvalue {w[0]:.3e} <= {cut:.3e})")
+    root = np.sqrt(np.where(w > cut, w, 0.0))
+    return (v / root if inverse else v * root) @ v.T
 
 
 def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
-    return sym_func(a, lambda x: 1.0 / math.sqrt(x))
+    return _sqrt_spectrum(a, inverse=True)
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
     """Square root of a symmetric positive semidefinite matrix."""
-    return sym_func(a, math.sqrt, singular="zero")
+    return _sqrt_spectrum(a, inverse=False)

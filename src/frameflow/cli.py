@@ -83,7 +83,6 @@ class RunConfig:
     sigma2: float = 1e-6
     tol: float | None = None
     trials: int = 1
-    demo: bool = False
     out: str | None = None
     infile: str | None = None
     kind: str = "frame"
@@ -108,9 +107,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (_is_real(value) and 0.0 < value < math.inf):
                 raise UsageError(f"{name} must be a positive finite number")
-        for name, types in (("out", (str, type(None))), ("infile", (str, type(None))),
-                            ("demo", bool)):
-            if not isinstance(getattr(self, name), types):
+        for name in ("out", "infile"):
+            if not isinstance(getattr(self, name), (str, type(None))):
                 raise UsageError(f"{name} must not be {getattr(self, name)!r}")
         if self.mode not in ("basic", "smoothed"):
             raise UsageError(f"mode must be basic or smoothed, not {self.mode!r}")
@@ -147,7 +145,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         merged.update(loaded)
     for key in _DEFAULTS:
         value = getattr(args, key, None)
-        if value is not None and value is not False:
+        if value is not None:
             merged[key] = value
     cfg = RunConfig(**merged)
     cfg.validate()
@@ -164,7 +162,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma2", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--demo", action="store_true", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--in", dest="infile", default=None, help="input object JSON")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
@@ -308,6 +305,8 @@ def cmd_capacity(cfg: RunConfig) -> int:
     if isinstance(obj, NonNegMatrix):
         kind, res = "matrix", matrix_capacity(obj, **tol)
     elif isinstance(obj, Frame):
+        if tol:  # the frame route's tol bounds a gradient, not the imbalance
+            raise UsageError("--tol applies only to matrix and operator inputs")
         kind, res = "frame", frame_capacity(obj)
     else:
         kind, res = "operator", operator_capacity(obj, **tol)

@@ -324,6 +324,17 @@ def test_capacity_exact_frame(tmp_path, capsys):
     assert doc["value"] == pytest.approx(3.0, abs=1e-6)
 
 
+def test_capacity_tol_is_usage_error_for_frame_input(tmp_path, capsys):
+    # the frame route has no imbalance tolerance to pass --tol on to
+    obj = tmp_path / "frame.json"
+    run(capsys, "gen", "--d", "3", "--n", "8", "--eps", "0.01", "--seed", "2",
+        "--out", str(obj))
+    rc, captured = run(capsys, "capacity", "--in", str(obj), "--tol", "1e-9")
+    assert rc == 1
+    assert captured.err.startswith("usage error: --tol applies only to matrix and operator")
+    assert captured.out == ""
+
+
 def test_capacity_matrix_report_carries_convex_flag(tmp_path, capsys):
     for argv in (["--kind", "matrix", "--m", "4", "--n", "6", "--seed", "3"],
                  ["--kind", "tight", "--k", "3"]):
@@ -422,9 +433,10 @@ def test_config_file_errors(tmp_path, capsys):
     assert run(capsys, "gen", "--config", str(nondict))[0] == 1
 
     unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"dee": 3}))
-    rc, captured = run(capsys, "gen", "--config", str(unknown))
-    assert rc == 1 and "unknown config keys" in captured.err
+    for config in ({"dee": 3}, {"demo": True}):
+        unknown.write_text(json.dumps(config))
+        rc, captured = run(capsys, "gen", "--config", str(unknown))
+        assert rc == 1 and "unknown config keys" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""Measures, predicates, conversions, and serialization of the base types."""
+"""Measures, predicates, conversions, and serialization of the base types;
+the symmetric spectral helpers; the numpy-only import rule."""
 
+import ast
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frameflow
 from frameflow import (
     Frame,
     NonNegMatrix,
@@ -25,6 +30,7 @@ from frameflow import (
     size_of,
     to_dict,
 )
+from frameflow._jacobi import jacobi_eigh, sym_inv_sqrt, sym_sqrt
 from frameflow.capacity import tight_example
 from frameflow.generate import harmonic_frame, random_frame, random_matrix, random_operator
 
@@ -225,6 +231,58 @@ def test_hadamard_square_distributes_over_diagonal_scaling(rng):
 
 
 # ---------------------------------------------------------------------------
+# symmetric spectra
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_eigh_ascending_and_reconstructs(rng, n):
+    b = rng.standard_normal((n, n))
+    a = b + b.T
+    w, v = jacobi_eigh(a)
+    assert np.all(np.diff(w) >= 0.0)
+    np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose((v * w) @ v.T, a, rtol=0.0, atol=1e-13 * np.abs(a).max())
+
+
+def test_eigh_of_diagonal_is_its_sorted_diagonal():
+    diag = np.array([3.5, -1.0, 0.0, 2.25, 1e-30, 7.0])
+    w, _ = jacobi_eigh(np.diag(diag))
+    np.testing.assert_array_equal(w, np.sort(diag))
+
+
+@pytest.mark.parametrize("a", [
+    np.ones((2, 3)), np.ones(3), np.array([[1.0, 2.0], [0.0, 1.0]]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+])
+def test_eigh_rejects_nonsquare_asymmetric_and_nonfinite(a):
+    with pytest.raises(ValueError):
+        jacobi_eigh(a)
+
+
+def test_inv_sqrt_raises_on_rank_deficient_psd(rng):
+    b = rng.standard_normal((5, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        sym_inv_sqrt(b @ b.T)
+
+
+def test_inv_sqrt_inverts_square_root(rng):
+    b = rng.standard_normal((4, 4))
+    a = b @ b.T + np.eye(4)
+    r = sym_inv_sqrt(a)
+    np.testing.assert_allclose(r @ a @ r, np.eye(4), rtol=0.0, atol=1e-12)
+
+
+def test_sqrt_squares_back_to_rank_one_psd(rng):
+    x = rng.standard_normal(6)
+    a = np.outer(x, x)
+    root = sym_sqrt(a)
+    np.testing.assert_allclose(root @ root, a, rtol=0.0, atol=1e-13 * np.abs(a).max())
+    # the zero eigenvalues (computed at about +-1e-16) stay zero: sqrt(x x^T)
+    # is x x^T / |x|, with no 1e-8 roots of roundoff mixed in
+    np.testing.assert_allclose(root, a / np.linalg.norm(x), rtol=0.0, atol=1e-13 * np.abs(a).max())
+
+
+# ---------------------------------------------------------------------------
 # matrix entry domain
 
 
@@ -280,3 +338,23 @@ def test_from_dict_rejects_inconsistent_header():
 def test_dumps_is_valid_json():
     parsed = json.loads(dumps(random_matrix(2, 2, 9)))
     assert parsed["kind"] == "matrix"
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for path in sorted(Path(frameflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not outside, outside
