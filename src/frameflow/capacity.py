@@ -65,11 +65,12 @@ class TightExample:
 
 
 def _hopcroft_karp(adj: list, nl: int, nr: int):
-    """Maximum bipartite matching; returns (match_l, match_r, size)."""
+    """Maximum bipartite matching; returns (match_l, match_r, size).  Plain
+    lists throughout (`adj` too): numpy element reads cost several times more."""
     INF = nl + nr + 1
-    match_l = np.full(nl, -1, dtype=np.int64)
-    match_r = np.full(nr, -1, dtype=np.int64)
-    dist = np.empty(nl, dtype=np.int64)
+    match_l = [-1] * nl
+    match_r = [-1] * nr
+    dist = [INF] * nl
     size = 0
 
     def bfs() -> bool:
@@ -186,9 +187,7 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
         empty_cols = np.nonzero(~support.any(axis=0))[0]
         if empty_cols.size:
             return {"rows": list(range(n)), "cols": [int(empty_cols[0])]}
-        rows_idx, cols_idx = np.nonzero(support)
-        splits = np.searchsorted(rows_idx, np.arange(1, n))
-        adj = np.split(cols_idx, splits)
+        adj = [np.flatnonzero(row).tolist() for row in support]
     match_l, match_r, size = _hopcroft_karp(adj, n, n)
     if size == n:
         return None
