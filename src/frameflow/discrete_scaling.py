@@ -90,10 +90,6 @@ class ScalingPair:
     def right_diagonal(self) -> bool:
         return self.right_stored.ndim == 1
 
-    @staticmethod
-    def identity(m: int, n: int) -> "ScalingPair":
-        return ScalingPair(np.ones(m), np.ones(n), 0.0, 0.0)
-
 
 def _stored(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)

@@ -1,17 +1,21 @@
 """Continuous scaling flows.
 
-The flowed objects and their derivatives:
+One dynamical system covers all three kinds: an operator tuple flows by
+dU_i/dt = C_m U_i + U_i C_n  with  C_m = s I - m B_m,  C_n = s I - n B_n
+(B_m, B_n the two Gram sums, s their common trace), and its accumulated
+transforms by dX = C_m X, dY = Y C_n.  Each flow system states this once,
+as its drift; a shared base derives from it the right-hand side, delta =
+|C_m|^2 / m + |C_n|^2 / n and the transforms.  A diagonal transform is
+held in logs, which integrate the diagonal C itself.
 
-* operator tuple:  dU_i/dt = C_m U_i + U_i C_n  with  C_m = s I - m B_m,
-  C_n = s I - n B_n  (B_m, B_n the two Gram sums, s their common trace).
-  Both C's are traceless, so the accumulated transforms X, Y (dX = C_m X,
-  dY = Y C_n) keep determinant one.
+* operator tuple: both C's are traceless, so X and Y keep determinant one.
 * frame:  du_i/dt = (s I - d S) u_i + (s - n ||u_i||^2) u_i, the embedding
-  special case; the right transform is diagonal and is integrated in logs.
+  special case; the right transform is diagonal.
 * matrix:  the input is the entrywise SQUARE of the underlying matrix.  With
   s, r_i, c_j taken from the squared entries M, each supported entry obeys
-  d(log M_ij)/dt = 2 (2 s - m r_i - n c_j); row/column scaling exponents
-  integrate s - m r_i and s - n c_j.  Zero entries stay exactly zero.
+  d(log M_ij)/dt = 2 (2 s - m r_i - n c_j); both transforms are diagonal,
+  their logs integrating s - m r_i and s - n c_j.  Zero entries stay
+  exactly zero.
 
 Along every flow  ds/dt = -2 delta  and  ddelta/dt = -4 * speed^2, where
 speed is the Frobenius velocity of the flowed object; both monitored values
@@ -64,6 +68,12 @@ class FlowOptions:
     def __post_init__(self):
         if not self.rel_delta_step > 0.0:
             raise ValueError("rel_delta_step must be positive")
+        if not 0.0 < self.step_err_tol < math.inf:
+            raise ValueError("step_err_tol must be positive and finite")
+        if self.fixed_step is not None and not 0.0 < self.fixed_step < math.inf:
+            raise ValueError("fixed_step must be None or positive and finite")
+        if not isinstance(self.max_samples, (int, np.integer)) or self.max_samples < 2:
+            raise ValueError("max_samples must be an integer >= 2")
 
 
 def validation_options(**overrides) -> FlowOptions:
@@ -134,19 +144,73 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 # ---------------------------------------------------------------------------
-# flow systems: pack the integrated quantities into one flat vector whose
-# last entry is the arc length travelled by the flowed object
+# flow systems
 
 
 class _System:
-    """Glue shared by the three flow systems."""
+    """The packed layout y = [state, left, right, arc length] and all that
+    follows from a system's drift(state) -> (s, L, R, V, speed2): the size,
+    the left and right drifts (vectors on a diagonal side), the velocity V
+    that state_rate turns into the state's derivative, and the squared speed
+    of the flowed object.  A system sets m, n, k and kind, then calls
+    __init__; it supplies drift and obj."""
 
     evals = 0
+
+    def __init__(self, state, left_dense, right_dense):
+        self.shape = state.shape
+        self.dense = (left_dense, right_dense)
+        sides = [np.eye(size).ravel() if dense else np.zeros(size)
+                 for size, dense in ((self.m, left_dense), (self.n, right_dense))]
+        self.sl_u = state.size
+        self.sl_x = self.sl_u + sides[0].size
+        self.sl_y = self.sl_x + sides[1].size
+        self.y0 = np.concatenate([state.ravel(), *sides, [0.0]])
+
+    def _state(self, y):
+        return y[: self.sl_u].reshape(self.shape)
+
+    def _sides(self, y):
+        """The left and right sides: a dense one as its matrix, a diagonal
+        one as its vector of logs."""
+        x, yy = y[self.sl_u: self.sl_x], y[self.sl_x: self.sl_y]
+        return (x.reshape(self.m, self.m) if self.dense[0] else x,
+                yy.reshape(self.n, self.n) if self.dense[1] else yy)
+
+    def state_rate(self, v):
+        """Derivative of the packed state, given the velocity V."""
+        return v.ravel()
 
     def f(self, y):
         """Right-hand side, counted."""
         self.evals += 1
-        return self.deriv(y)
+        _, left, right, v, speed2 = self.drift(self._state(y))
+        x, yy = self._sides(y)
+        if self.dense[0]:
+            left = left @ x
+        if self.dense[1]:
+            right = yy @ right
+        return np.concatenate([self.state_rate(v), left.ravel(), right.ravel(),
+                               [math.sqrt(speed2)]])
+
+    def measures(self, y):
+        """(s, delta, speed2) with delta = |L|^2 / m + |R|^2 / n."""
+        s, left, right, _, speed2 = self.drift(self._state(y))
+        return s, float(np.sum(left * left) / self.m + np.sum(right * right) / self.n), speed2
+
+    def logdets(self, y):
+        return tuple(float(np.linalg.slogdet(side)[1]) if dense else float(side.sum())
+                     for side, dense in zip(self._sides(y), self.dense))
+
+    def transforms(self, y):
+        """The accumulated transforms, a diagonal side as its vector."""
+        return tuple(side.copy() if dense else np.exp(side)
+                     for side, dense in zip(self._sides(y), self.dense))
+
+    def diag_scalings(self, y):
+        """Entries of the diagonal sides (None if both are dense)."""
+        logs = [side for side, dense in zip(self._sides(y), self.dense) if not dense]
+        return np.exp(np.concatenate(logs)) if logs else None
 
     def movement(self, y):
         return float(y[-1])
@@ -160,60 +224,20 @@ class _OperatorSystem(_System):
 
     def __init__(self, op: OperatorTuple):
         self.k, self.m, self.n = op.k, op.m, op.n
-        self.sl_u = self.k * self.m * self.n
-        self.sl_x = self.sl_u + self.m * self.m
-        self.sl_y = self.sl_x + self.n * self.n
-        self.y0 = np.concatenate([
-            op.mats.ravel(), np.eye(self.m).ravel(), np.eye(self.n).ravel(), [0.0],
-        ])
+        self.eye_m, self.eye_n = np.eye(self.m), np.eye(self.n)
+        super().__init__(op.mats, True, True)
 
-    def _parts(self, y):
-        u = y[: self.sl_u].reshape(self.k, self.m, self.n)
-        x = y[self.sl_u: self.sl_x].reshape(self.m, self.m)
-        yy = y[self.sl_x: self.sl_y].reshape(self.n, self.n)
-        return u, x, yy
-
-    def deriv(self, y):
-        u, x, yy = self._parts(y)
+    def drift(self, u):
         bl = np.einsum("kmn,kln->ml", u, u)
         br = np.einsum("kmi,kmj->ij", u, u)
         s = float(np.trace(bl))
-        cm = -self.m * bl
-        np.fill_diagonal(cm, np.diag(cm) + s)
-        cn = -self.n * br
-        np.fill_diagonal(cn, np.diag(cn) + s)
+        cm = s * self.eye_m - self.m * bl
+        cn = s * self.eye_n - self.n * br
         du = np.matmul(cm, u) + np.matmul(u, cn)
-        dx = cm @ x
-        dy = yy @ cn
-        speed = math.sqrt(float(np.einsum("kmn,kmn->", du, du)))
-        return np.concatenate([du.ravel(), dx.ravel(), dy.ravel(), [speed]])
-
-    def measures(self, y):
-        u, _, _ = self._parts(y)
-        bl = np.einsum("kmn,kln->ml", u, u)
-        br = np.einsum("kmi,kmj->ij", u, u)
-        s = float(np.trace(bl))
-        dl = s * np.eye(self.m) - self.m * bl
-        dr = s * np.eye(self.n) - self.n * br
-        delta = float(np.sum(dl * dl) / self.m + np.sum(dr * dr) / self.n)
-        du = np.matmul(dl, u) + np.matmul(u, dr)
-        speed2 = float(np.einsum("kmn,kmn->", du, du))
-        return s, delta, speed2
-
-    def logdets(self, y):
-        _, x, yy = self._parts(y)
-        return float(np.linalg.slogdet(x)[1]), float(np.linalg.slogdet(yy)[1])
-
-    def diag_scalings(self, y):
-        return None  # right transform is dense: no diagonal story
-
-    def transforms(self, y):
-        _, x, yy = self._parts(y)
-        return x.copy(), yy.copy()
+        return s, cm, cn, du, float(np.einsum("kmn,kmn->", du, du))
 
     def obj(self, y):
-        u, _, _ = self._parts(y)
-        return OperatorTuple(u.copy())
+        return OperatorTuple(self._state(y).copy())
 
 
 class _FrameSystem(_System):
@@ -223,121 +247,53 @@ class _FrameSystem(_System):
         self.n, self.d = fr.n, fr.d
         self.m = self.d          # left dimension of the embedding
         self.k = self.n          # embedded tuple length
-        self.sl_u = self.n * self.d
-        self.sl_x = self.sl_u + self.d * self.d
-        self.sl_y = self.sl_x + self.n
-        self.y0 = np.concatenate([
-            fr.vectors.ravel(), np.eye(self.d).ravel(), np.zeros(self.n), [0.0],
-        ])
+        self.eye_d = np.eye(self.d)
+        super().__init__(fr.vectors, True, False)
 
-    def _parts(self, y):
-        u = y[: self.sl_u].reshape(self.n, self.d)
-        x = y[self.sl_u: self.sl_x].reshape(self.d, self.d)
-        ylog = y[self.sl_x: self.sl_y]
-        return u, x, ylog
-
-    def deriv(self, y):
-        u, x, _ = self._parts(y)
+    def drift(self, u):
         norms2 = np.einsum("nd,nd->n", u, u)
         s = float(norms2.sum())
-        gram = u.T @ u
-        c = -self.d * gram
-        np.fill_diagonal(c, np.diag(c) + s)
+        c = s * self.eye_d - self.d * (u.T @ u)
         w = s - self.n * norms2
         du = u @ c + w[:, None] * u
-        dx = c @ x
-        speed = math.sqrt(float(np.einsum("nd,nd->", du, du)))
-        return np.concatenate([du.ravel(), dx.ravel(), w, [speed]])
-
-    def measures(self, y):
-        u, _, _ = self._parts(y)
-        norms2 = np.einsum("nd,nd->n", u, u)
-        s = float(norms2.sum())
-        gram = u.T @ u
-        dl = s * np.eye(self.d) - self.d * gram
-        w = s - self.n * norms2
-        delta = float(np.sum(dl * dl) / self.d + np.sum(w * w) / self.n)
-        du = u @ dl + w[:, None] * u
-        speed2 = float(np.einsum("nd,nd->", du, du))
-        return s, delta, speed2
-
-    def logdets(self, y):
-        _, x, ylog = self._parts(y)
-        return float(np.linalg.slogdet(x)[1]), float(ylog.sum())
-
-    def diag_scalings(self, y):
-        _, _, ylog = self._parts(y)
-        return np.exp(ylog)
-
-    def transforms(self, y):
-        _, x, ylog = self._parts(y)
-        return x.copy(), np.exp(ylog)
+        return s, c, w, du, float(np.einsum("nd,nd->", du, du))
 
     def obj(self, y):
-        u, _, _ = self._parts(y)
-        return Frame(u.copy())
+        return Frame(self._state(y).copy())
 
 
 class _MatrixSystem(_System):
-    """Flow of the squared entries M on their support, in log domain."""
+    """Flow of the squared entries M on their support, in log domain.  The
+    transforms are those of the UNSQUARED matrix, whose squared entries
+    reconstruct as (X_ii Y_jj)^2 * M0_ij; V is the log rate of its entries,
+    2 s - m r_i - n c_j."""
 
     kind = "matrix"
 
     def __init__(self, mat: NonNegMatrix):
         self.m, self.n = mat.m, mat.n
         self.k = 0
-        self.support = mat.entries > 0.0
-        self.sup_idx = np.nonzero(self.support)
-        self.nnz = int(self.support.sum())
-        self.sl_l = self.nnz
-        self.sl_x = self.sl_l + self.m
-        self.sl_y = self.sl_x + self.n
-        self.y0 = np.concatenate([
-            np.log(mat.entries[self.sup_idx]), np.zeros(self.m), np.zeros(self.n), [0.0],
-        ])
+        self.support = np.flatnonzero(mat.entries > 0.0)   # flat (row-major) indices
+        super().__init__(np.log(mat.entries.ravel()[self.support]), False, False)
 
-    def _mat(self, y):
+    def _mat(self, logs):
         mm = np.zeros((self.m, self.n))
-        mm[self.sup_idx] = np.exp(y[: self.sl_l])
+        mm.ravel()[self.support] = np.exp(logs)
         return mm
 
-    def _rates(self, mm):
+    def drift(self, logs):
+        mm = self._mat(logs)
         r = mm.sum(axis=1)
         c = mm.sum(axis=0)
         s = float(r.sum())
         rate = 2.0 * s - self.m * r[:, None] - self.n * c[None, :]
-        return s, r, c, rate
+        return s, s - self.m * r, s - self.n * c, rate, float(np.sum(rate * rate * mm))
 
-    def deriv(self, y):
-        mm = self._mat(y)
-        s, r, c, rate = self._rates(mm)
-        dlog = 2.0 * rate[self.sup_idx]
-        dx = s - self.m * r
-        dy = s - self.n * c
-        speed = math.sqrt(float(np.sum(rate * rate * mm)))
-        return np.concatenate([dlog, dx, dy, [speed]])
-
-    def measures(self, y):
-        mm = self._mat(y)
-        s, r, c, rate = self._rates(mm)
-        delta = float(np.sum((s - self.m * r) ** 2) / self.m
-                      + np.sum((s - self.n * c) ** 2) / self.n)
-        speed2 = float(np.sum(rate * rate * mm))
-        return s, delta, speed2
-
-    def logdets(self, y):
-        return float(y[self.sl_l: self.sl_x].sum()), float(y[self.sl_x: self.sl_y].sum())
-
-    def diag_scalings(self, y):
-        return np.exp(np.concatenate([y[self.sl_l: self.sl_x], y[self.sl_x: self.sl_y]]))
-
-    def transforms(self, y):
-        # diagonals of the transforms of the UNSQUARED matrix: its squared
-        # entries reconstruct as (X_ii Y_jj)^2 * M0_ij
-        return np.exp(y[self.sl_l: self.sl_x]), np.exp(y[self.sl_x: self.sl_y])
+    def state_rate(self, v):
+        return 2.0 * v.ravel()[self.support]
 
     def obj(self, y):
-        return NonNegMatrix(self._mat(y))
+        return NonNegMatrix(self._mat(self._state(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +360,7 @@ class _Recorder:
     """Sample collector with stride-doubling thinning."""
 
     def __init__(self, max_samples: int, record_states: bool, record_scalings: bool):
-        self.max_samples = max(2, max_samples)
+        self.max_samples = max_samples
         self.rows = []
         self.states = [] if record_states else None
         self.scalings = [] if record_scalings else None

@@ -16,12 +16,14 @@ from frameflow import (
 )
 from frameflow.capacity import matrix_capacity
 from frameflow.checks import identity_errors, validate_trace_csv
+from frameflow.discrete_scaling import full_transform
 from frameflow.dynamics import (
     CSV_HEADER,
     FlowError,
     FlowOptions,
     _FrameSystem,
     _MatrixSystem,
+    _OperatorSystem,
     _dense_samples,
     _integrate,
     _rk4,
@@ -116,6 +118,31 @@ def test_trace_of_drift_matrices_vanishes():
         c_n = s - 7 * np.einsum("nd,nd->n", v, v)
         assert abs(np.trace(c_m)) <= 1e-9 * s
         assert abs(c_n.sum()) <= 1e-9 * s
+
+
+@pytest.mark.parametrize("obj, system_cls", [
+    (near_parseval_frame(3, 8, 0.05, 41)[0], _FrameSystem),
+    (random_operator(4, 3, 5, 42), _OperatorSystem),
+    (random_matrix(3, 4, 44, density=0.6), _MatrixSystem),
+], ids=["frame", "operator", "matrix"])
+def test_system_drift_matches_core_measures(obj, system_cls):
+    system = system_cls(obj)
+    y0 = system.y0
+    s, delta, speed2 = system.measures(y0)
+    assert s == pytest.approx(size_of(obj), rel=1e-12)
+    assert delta == pytest.approx(delta_of(obj), rel=1e-12)
+    fy = system.f(y0)
+    assert fy[-1] == math.sqrt(speed2)
+    # the arc-length rate is the norm of the flowed object's velocity, read
+    # here from the state part of f (for a matrix: the unsquared entries
+    # A = sqrt(M) move at A * d(log M)/dt / 2)
+    rate = fy[: system.sl_u]
+    if system_cls is _MatrixSystem:
+        rate = np.sqrt(obj.entries[obj.entries > 0.0]) * rate / 2.0
+    assert speed2 == pytest.approx(float(np.sum(rate * rate)), rel=1e-12)
+    assert system.logdets(y0) == (0.0, 0.0)
+    for side, size in zip(system.transforms(y0), (system.m, system.n)):
+        np.testing.assert_array_equal(full_transform(side), np.eye(size))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +398,15 @@ def test_fixed_step_records_one_sample_per_step():
 
 
 def test_sample_spacing_must_be_positive():
-    for rel in (0.0, -0.01, float("nan")):
-        with pytest.raises(ValueError):
-            FlowOptions(rel_delta_step=rel)
+    nan, inf = float("nan"), float("inf")
+    bad = [("rel_delta_step", v) for v in (0.0, -0.01, nan)]
+    bad += [("step_err_tol", v) for v in (0.0, -1, nan, inf)]
+    bad += [("fixed_step", v) for v in (0.0, -0.02, nan, inf)]
+    bad += [("max_samples", v) for v in (0, 1, -3, 2.5)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            FlowOptions(**{name: value})
+    FlowOptions(step_err_tol=1e-6, fixed_step=0.02, max_samples=2)
 
 
 @pytest.mark.parametrize("make, flow", _STEERING_INPUTS, ids=["frame", "operator", "matrix"])
