@@ -65,8 +65,10 @@ class TightExample:
 
 
 def _hopcroft_karp(adj: list, nl: int, nr: int):
-    """Maximum bipartite matching; returns (match_l, match_r, size).  Plain
-    lists throughout (`adj` too): numpy element reads cost several times more."""
+    """Maximum bipartite matching; returns (match_l, match_r, size, reached).
+    The last search finds no free column, so `reached` lists exactly the rows
+    reachable by alternating paths from free rows.  Plain lists throughout
+    (`adj` too): numpy element reads cost several times more."""
     INF = nl + nr + 1
     match_l = [-1] * nl
     match_r = [-1] * nr
@@ -107,29 +109,7 @@ def _hopcroft_karp(adj: list, nl: int, nr: int):
         for u in range(nl):
             if match_l[u] == -1 and dfs(u):
                 size += 1
-    return match_l, match_r, size
-
-
-def _hall_witness(adj, match_l, match_r, nl: int, nr: int):
-    """Rows/cols witnessing the deficiency: rows X' reachable by alternating
-    paths from free rows, cols Y' = complement of their neighborhood; the
-    X' x Y' submatrix is all zero and |X'| + |Y'| > n."""
-    reach_l = [u for u in range(nl) if match_l[u] == -1]
-    seen_l = set(reach_l)
-    seen_r = set()
-    q = deque(reach_l)
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in seen_r:
-                seen_r.add(v)
-                w = match_r[v]
-                if w != -1 and w not in seen_l:
-                    seen_l.add(w)
-                    q.append(w)
-    rows = sorted(int(u) for u in seen_l)
-    cols = [v for v in range(nr) if v not in seen_r]
-    return {"rows": rows, "cols": cols}
+    return match_l, match_r, size, [u for u in range(nl) if dist[u] != INF]
 
 
 def tensor_square(a: NonNegMatrix) -> NonNegMatrix:
@@ -188,10 +168,15 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
         if empty_cols.size:
             return {"rows": list(range(n)), "cols": [int(empty_cols[0])]}
         adj = [np.flatnonzero(row).tolist() for row in support]
-    match_l, match_r, size = _hopcroft_karp(adj, n, n)
+    _, _, size, rows = _hopcroft_karp(adj, n, n)
     if size == n:
         return None
-    return _hall_witness(adj, match_l, match_r, n, n)
+    # Hall witness: the rows X' reached from free rows, and as columns Y' the
+    # complement of their neighbourhood; X' x Y' is all zero, |X'| + |Y'| > n
+    seen = set()
+    for u in rows:
+        seen.update(adj[u])
+    return {"rows": rows, "cols": [v for v in range(n) if v not in seen]}
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ trials), ``capacity`` (capacity report, with both matrix routes),
 Exit codes: 0 success, 1 usage (bad flags, unreadable/malformed input),
 2 numeric failure, 3 invariant violation.  Outputs are deterministic for a
 fixed config and seed: JSON is emitted with sorted keys and no timestamps,
-trials are seeded by (seed, trial-index) and collected in index order.
-FRAMEFLOW_THREADS caps the worker pool.
+trials are seeded by (seed, trial-index) and run in index order.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -195,23 +192,6 @@ def _load_object(cfg: RunConfig):
         raise UsageError(f"malformed object JSON: {exc}") from exc
 
 
-def _thread_count(trials: int) -> int:
-    env = os.environ.get("FRAMEFLOW_THREADS", "").strip()
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        raise UsageError(f"FRAMEFLOW_THREADS must be an integer, not {env!r}") from None
-    return max(1, min(trials, cap))
-
-
-def _run_trials(trials: int, fn) -> list:
-    """Run fn(trial_index) for each trial, collected in index order."""
-    if trials == 1:
-        return [fn(0)]
-    with ThreadPoolExecutor(max_workers=_thread_count(trials)) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -249,18 +229,22 @@ def cmd_flow(cfg: RunConfig) -> int:
     return 0
 
 
-def _solve_input(cfg: RunConfig, trial: int):
-    if cfg.infile is not None:
-        obj = _load_object(cfg)
-        if not isinstance(obj, Frame):
-            raise UsageError("solve expects a frame input")
-        return obj
-    return near_parseval_frame(cfg.d, cfg.n, cfg.eps, (cfg.seed, trial))[0]
+def _input_frames(cfg: RunConfig, command: str):
+    """trial -> input frame: the --in frame, read once, or else a frame
+    generated from (seed, trial)."""
+    if cfg.infile is None:
+        return lambda trial: near_parseval_frame(cfg.d, cfg.n, cfg.eps, (cfg.seed, trial))[0]
+    obj = _load_object(cfg)
+    if not isinstance(obj, Frame):
+        raise UsageError(f"{command} expects a frame input")
+    return lambda trial: obj
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    input_frame = _input_frames(cfg, "solve")
+
     def one(trial: int) -> dict:
-        frame = _solve_input(cfg, trial)
+        frame = input_frame(trial)
         eps_in = eps_nearness(frame)
         rec = {
             "trial": trial,
@@ -293,23 +277,24 @@ def cmd_solve(cfg: RunConfig) -> int:
             rec["bound_100_d2_n_eps"] = 100.0 * frame.d**2 * frame.n * eps_in
         return rec
 
-    results = _run_trials(cfg.trials, one)
+    results = [one(t) for t in range(cfg.trials)]
     doc = {"command": "solve", "seed": cfg.seed, "trials": cfg.trials, "results": results}
     _emit(_dump_report(doc), cfg.out)
     return 0
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
+    if cfg.tol is not None:
+        # each route stops on its own measure (an imbalance, a gradient), and
+        # a loose one reports the untouched size as a converged value
+        raise UsageError("capacity takes no --tol")
     obj = _load_object(cfg)
-    tol = _given(tol=cfg.tol)
     if isinstance(obj, NonNegMatrix):
-        kind, res = "matrix", matrix_capacity(obj, **tol)
+        kind, res = "matrix", matrix_capacity(obj)
     elif isinstance(obj, Frame):
-        if tol:  # the frame route's tol bounds a gradient, not the imbalance
-            raise UsageError("--tol applies only to matrix and operator inputs")
         kind, res = "frame", frame_capacity(obj)
     else:
-        kind, res = "operator", operator_capacity(obj, **tol)
+        kind, res = "operator", operator_capacity(obj)
     doc = {
         "command": "capacity", "kind": kind, "value": res.value, "method": res.method,
         "certificate": res.certificate, "lower": res.lower, "upper": res.upper,
@@ -330,13 +315,7 @@ def cmd_capacity(cfg: RunConfig) -> int:
 
 
 def cmd_perturb(cfg: RunConfig) -> int:
-    if cfg.infile is not None:
-        obj = _load_object(cfg)
-        if not isinstance(obj, Frame):
-            raise UsageError("perturb expects a frame input")
-        frame = obj
-    else:
-        frame = near_parseval_frame(cfg.d, cfg.n, cfg.eps, (cfg.seed, 0))[0]
+    frame = _input_frames(cfg, "perturb")(0)
     w, noise = perturb(frame, cfg.sigma2, cfg.seed)
     doc = {
         "command": "perturb",

@@ -177,6 +177,39 @@ def test_zero_check_exhaustive_3x3():
         assert got == _permanent_positive_bruteforce(support)
 
 
+def _alternating_witness(support):
+    """The Hall witness found by hand: a maximum matching by Kuhn's augmenting
+    paths, then the rows reachable from its free rows by alternating paths,
+    and the columns outside their neighbourhood.  None for a perfect matching.
+    The row set is the same for every maximum matching (Dulmage-Mendelsohn)."""
+    n = support.shape[0]
+    adj = [np.flatnonzero(row).tolist() for row in support]
+    match_r = [-1] * n
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if match_r[v] == -1 or augment(match_r[v], seen):
+                    match_r[v] = u
+                    return True
+        return False
+
+    for u in range(n):
+        augment(u, set())
+    reached = set(range(n)) - set(match_r)
+    if not reached:
+        return None
+    stack = list(reached)
+    while stack:
+        for v in adj[stack.pop()]:
+            if match_r[v] not in reached:
+                reached.add(match_r[v])
+                stack.append(match_r[v])
+    near = {v for u in reached for v in adj[u]}
+    return {"rows": sorted(reached), "cols": [v for v in range(n) if v not in near]}
+
+
 def test_zero_check_matches_hopcroft_karp_across_sizes(rng):
     # sides up to 63 take the bitmask route, 64 and up Hopcroft-Karp alone;
     # one forced entry per row and column rules out the empty-line
@@ -191,6 +224,7 @@ def test_zero_check_matches_hopcroft_karp_across_sizes(rng):
             perfect = _hopcroft_karp(adj, n, n)[2] == n
             cert = capacity_zero_check(NonNegMatrix(support.astype(float)))
             assert (cert is None) == perfect
+            assert cert == _alternating_witness(support)
             if cert is not None:
                 assert len(cert["rows"]) + len(cert["cols"]) > n
                 assert not support[np.ix_(cert["rows"], cert["cols"])].any()
