@@ -552,13 +552,21 @@ def run_all(seed: int = 0) -> list[CheckResult]:
 def validate_trace_csv(text: str) -> list[CheckResult]:
     """Revalidate an emitted flow trace: schema, monotonicity, and the two
     derivative identities at the emission tolerances."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    results = []
+    header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
     if header != CSV_HEADER.split(","):
         return [_result("trace_schema", False, f"header {header!r} != {CSV_HEADER!r}")]
-    data = np.array([[float(v) for v in row] for row in reader])
-    results.append(_result("trace_schema", True, f"{data.shape[0]} samples"))
+    if not rows:
+        return [_result("trace_schema", False, "no sample rows after the header")]
+    samples = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, not {len(header)}")
+            samples.append([float(v) for v in row])
+        except ValueError as exc:
+            return [_result("trace_schema", False, f"line {line}: {exc}")]
+    data = np.array(samples)
+    results = [_result("trace_schema", True, f"{data.shape[0]} samples")]
     t, s, delta, _, ddelta = (data[:, i] for i in range(5))
     inc_s = float(np.diff(s).max(initial=-math.inf))
     inc_d = float(np.diff(delta).max(initial=-math.inf))

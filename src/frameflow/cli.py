@@ -1,10 +1,16 @@
-"""Batch experiment driver.
+"""Batch experiment driver: frameflow COMMAND [flags].
 
-Subcommands: ``gen`` (object generators), ``flow`` (integrate a flow and
-emit its CSV trace), ``solve`` (basic or smoothed pipeline over seeded
-trials), ``capacity`` (capacity report, with both matrix routes),
-``perturb`` (one perturbation step with its constraint stats), and
-``check`` (the full invariant suite, or revalidation of a saved trace).
+commands:
+  gen       generate a frame, operator, matrix or tight-example object
+  flow      integrate the flow for an object and emit its CSV trace
+  solve     run the basic or smoothed pipeline over seeded trials
+  capacity  capacity report for an object, with both matrix routes
+  perturb   one perturbation step with its constraint stats
+  check     run the full invariant suite, or revalidate a saved trace
+
+Each command accepts only the flags it reads, and any other flag is a usage
+error.  A --config JSON file may set any field, so one file can serve
+several commands; flags given on the command line override it.
 
 Exit codes: 0 success, 1 usage (bad flags, unreadable/malformed input),
 2 numeric failure, 3 invariant violation.  Outputs are deterministic for a
@@ -122,13 +128,25 @@ def _given(**params) -> dict:
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
+# the RunConfig fields each command reads; every command also reads out
+_READS = {
+    "gen": ("kind", "seed", "d", "n", "m", "k", "eps"),
+    "flow": ("infile", "tol", "t_max"),
+    "solve": ("mode", "seed", "d", "n", "eps", "trials", "infile", "zeta", "kappa",
+              "final_delta", "t_max"),
+    "capacity": ("infile",),
+    "perturb": ("seed", "d", "n", "eps", "sigma2", "infile"),
+    "check": ("seed", "infile"),
+}
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+
+def _build_config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
+    """Merge config file and flags, validate the values, then refuse any flag
+    the command does not read, so a bad value fails on its own message."""
     merged = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if args.config:
         try:
-            with open(config_path) as fh:
+            with open(args.config) as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
@@ -146,34 +164,23 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = value
     cfg = RunConfig(**merged)
     cfg.validate()
+    reads = _READS[args.command] + ("out",)
+    for action in parser._actions:
+        if action.dest in _DEFAULTS and action.dest not in reads \
+                and getattr(args, action.dest) is not None:
+            flags = [a.option_strings[0] for a in parser._actions if a.dest == action.dest]
+            raise UsageError(f"{args.command} takes no {' or '.join(flags)}")
     return cfg
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--in", dest="infile", default=None, help="input object JSON")
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
-
-
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _dump_report(doc: dict) -> str:
@@ -284,10 +291,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
-    if cfg.tol is not None:
-        # each route stops on its own measure (an imbalance, a gradient), and
-        # a loose one reports the untouched size as a converged value
-        raise UsageError("capacity takes no --tol")
     obj = _load_object(cfg)
     if isinstance(obj, NonNegMatrix):
         kind, res = "matrix", matrix_capacity(obj)
@@ -353,32 +356,6 @@ def cmd_check(cfg: RunConfig) -> int:
 # entry point
 
 
-def _make_parser() -> _Parser:
-    parser = _Parser(prog="frameflow", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, helptext in [
-        ("gen", "generate a frame/operator/matrix/tight-example object"),
-        ("flow", "integrate the flow for an object and emit the CSV trace"),
-        ("solve", "run the basic or smoothed pipeline"),
-        ("capacity", "capacity report for an object"),
-        ("perturb", "one constrained perturbation step with stats"),
-        ("check", "run the invariant suite, or revalidate a trace CSV"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name == "gen":
-            p.add_argument("--kind", default=None, help="frame|operator|matrix|tight")
-        if name == "solve":
-            p.add_argument(
-                "--smoothed", dest="mode", action="store_const", const="smoothed", default=None
-            )
-            p.add_argument("--basic", dest="mode", action="store_const", const="basic")
-            p.add_argument("--zeta", type=float, default=None)
-            p.add_argument("--kappa", type=float, default=None)
-            p.add_argument("--final-delta", dest="final_delta", type=float, default=None)
-    return parser
-
-
 _COMMANDS = {
     "gen": cmd_gen,
     "flow": cmd_flow,
@@ -389,13 +366,28 @@ _COMMANDS = {
 }
 
 
+def _make_parser() -> _Parser:
+    parser = _Parser(prog="frameflow", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS)
+    for flag in ("--seed", "--d", "--n", "--m", "--k", "--trials"):
+        parser.add_argument(flag, type=int)
+    for flag in ("--eps", "--sigma2", "--tol", "--zeta", "--kappa", "--final-delta"):
+        parser.add_argument(flag, type=float)
+    parser.add_argument("--kind", help="frame|operator|matrix|tight")
+    parser.add_argument("--basic", dest="mode", action="store_const", const="basic")
+    parser.add_argument("--smoothed", dest="mode", action="store_const", const="smoothed")
+    parser.add_argument("--in", dest="infile", help="input object JSON")
+    parser.add_argument("--out")
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a subcommand is required")
-        cfg = _build_config(args)
+        cfg = _build_config(args, parser)
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ and byte determinism."""
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from frameflow import checks
 from frameflow.capacity import tight_example
 from frameflow.cli import RunConfig, main
 from frameflow.core import Frame, eps_nearness, from_dict
-from frameflow.dynamics import validation_options
+from frameflow.dynamics import CSV_HEADER, validation_options
 
 
 def run(capsys, *argv):
@@ -111,6 +112,16 @@ def test_no_subcommand(capsys):
     assert rc == 1 and "usage error" in captured.err
 
 
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("gen", "flow", "solve", "capacity", "perturb", "check"):
+        # a line that starts with the command and goes on to say what it does
+        assert re.search(rf"^\s+{name}\s+\w", out, re.MULTILINE), name
+
+
 def test_unknown_flag(capsys):
     rc, _ = run(capsys, "gen", "--frobnicate", "1")
     assert rc == 1
@@ -131,11 +142,33 @@ def test_bad_flag_values(capsys):
     ["solve", "--smoothed", "--zeta", "-1"],
     ["perturb", "--sigma2", "nan"],
     ["capacity", "--tol", "inf"],
+    ["solve", "--trials", "0"],
 ])
 def test_out_of_range_flag_is_usage_error(capsys, argv):
     rc, captured = run(capsys, *argv)
     field = argv[-2].removeprefix("--").replace("-", "_")
     assert rc == 1 and captured.err.startswith(f"usage error: {field} "), captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--basic", "--d", "2", "--n", "4", "--tol", "1e9"], "solve takes no --tol"),
+    (["perturb", "--d", "2", "--n", "4", "--trials", "5", "--tol", "3", "--k", "9"],
+     "perturb takes no --k"),
+    (["gen", "--kind", "matrix", "--m", "2", "--n", "2", "--tol", "5"], "gen takes no --tol"),
+    (["capacity", "--in", "{obj}", "--zeta", "1"], "capacity takes no --zeta"),
+    (["flow", "--in", "{obj}", "--seed", "3"], "flow takes no --seed"),
+    (["check", "--in", "{trace}", "--trials", "2"], "check takes no --trials"),
+    (["gen", "--smoothed"], "gen takes no --basic or --smoothed"),
+], ids=["solve", "perturb", "gen", "capacity", "flow", "check", "gen-mode"])
+def test_unread_flag_is_usage_error(tmp_path, capsys, argv, message):
+    obj = tmp_path / "obj.json"
+    run(capsys, "gen", "--kind", "matrix", "--m", "2", "--n", "2", "--out", str(obj))
+    trace = tmp_path / "trace.csv"
+    trace.write_text(CSV_HEADER + "\n" + ",".join(["0"] * 8) + "\n")
+    rc, captured = run(capsys, *(a.format(obj=obj, trace=trace) for a in argv))
+    assert rc == 1
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)
@@ -217,6 +250,21 @@ def test_flow_tight_example_shrinks_to_zero_capacity(tmp_path, capsys):
     rc, captured = run(capsys, "check", "--in", str(tampered))
     assert rc == 3
     assert "VIOLATION" in captured.out
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("", "header []"),
+    (CSV_HEADER + "\n", "no sample rows"),
+    (CSV_HEADER + "\n0,1,2\n", "line 2: 3 fields"),
+    (CSV_HEADER + "\n" + ",".join(["0"] * 8) + "\nx" + ",0" * 7 + "\n",
+     "line 3: could not convert"),
+], ids=["empty", "header-only", "short-row", "non-numeric"])
+def test_malformed_trace_is_schema_violation(tmp_path, capsys, text, detail):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    rc, captured = run(capsys, "check", "--in", str(trace))
+    assert rc == 3
+    assert captured.out.startswith(f"VIOLATION trace_schema: {detail}"), captured.out
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +456,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     rc, _ = run(capsys, "gen", "--config", str(cfg), "--n", "10", "--out", str(out))
     assert rc == 0
     assert load_doc(out)["n"] == 10
+
+
+def test_config_may_set_fields_the_command_does_not_read(tmp_path, capsys):
+    # one config file may serve several commands; only flags are refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-9, "trials": 3, "zeta": 0.5}))
+    argv = ["gen", "--d", "2", "--n", "4", "--seed", "3"]
+    rc, with_config = run(capsys, *argv, "--config", str(cfg))
+    assert rc == 0
+    assert run(capsys, *argv) == (0, with_config)
 
 
 def test_config_file_errors(tmp_path, capsys):
