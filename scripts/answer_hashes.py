@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Answer fingerprints: one sha256 per group of outputs, for checking that a
+change leaves answers byte-identical.  Run it at both commits and compare.
+
+Groups:
+  flow-trace      the `flow` CSVs of the 24 inputs of the benchmark's
+                  flow-trace workload at --seed, each run until delta falls
+                  to a tenth of its start, hashed in round order as one
+                  stream
+  steering        the CSV, final state and work counters of the three flows
+                  of tests/test_dynamics.py::_STEERING_INPUTS under
+                  validation_options()
+  solve-basic     `solve --basic` reports (d=3, n=12), seeds 0-14
+  solve-smoothed  `solve --smoothed` reports (d=3, n=500), seeds 0-1
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+
+from frameflow import cli
+from frameflow.capacity import tight_example
+from frameflow.core import save_json
+from frameflow.dynamics import (
+    frame_flow,
+    matrix_flow,
+    operator_flow,
+    trajectory_csv,
+    validation_options,
+)
+from frameflow.generate import near_parseval_frame, random_matrix, random_operator
+
+FLOW_DROP = 0.1   # the flow-trace workload's delta target, as a share of delta0
+
+
+def _run(argv: list) -> tuple[int, str, str]:
+    """rc, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _initial_delta(family: str, arr: np.ndarray) -> float:
+    """delta0 written as the benchmark's numpy reference writes it, so that
+    --tol carries the same bytes as in a flow-trace op."""
+    if family == "operator":
+        _, m, n = arr.shape
+        left = sum(a @ a.T for a in arr)
+        right = sum(a.T @ a for a in arr)
+        s = float(np.trace(left))
+        dl = s * np.eye(m) - m * left
+        dr = s * np.eye(n) - n * right
+        return float(np.sum(dl * dl) / m + np.sum(dr * dr) / n)
+    m, n = arr.shape
+    s = float(arr.sum())
+    r = arr.sum(axis=1)
+    c = arr.sum(axis=0)
+    return float(np.sum((s - m * r) ** 2) / m + np.sum((s - n * c) ** 2) / n)
+
+
+def flow_trace_csvs(seed: int, workdir: str) -> list:
+    out = []
+    for r in range(8):
+        for family, obj in (("operator", random_operator(8, 3, 8, (seed, 3, r))),
+                            ("matrix", random_matrix(4, 6, (seed, 3, r))),
+                            ("tight", tight_example(2).A)):
+            path = os.path.join(workdir, f"flow-{r}-{family}.json")
+            save_json(obj, path)
+            arr = obj.mats if family == "operator" else obj.entries
+            tol = FLOW_DROP * _initial_delta(family, np.asarray(arr))
+            rc, csv, err = _run(["flow", "--in", path, "--tol", repr(tol)])
+            if rc != 0:
+                raise SystemExit(f"flow on {family} round {r} exited {rc}: {err.strip()}")
+            out.append(csv.encode())
+    return out
+
+
+def steering_flows() -> list:
+    out = []
+    for obj, flow, data in (
+        (near_parseval_frame(3, 8, 0.05, 41)[0], frame_flow, "vectors"),
+        (random_operator(4, 3, 5, 42), operator_flow, "mats"),
+        (random_matrix(3, 4, 43), matrix_flow, "entries"),
+    ):
+        final, traj = flow(obj, opts=validation_options())
+        counters = (traj.status, traj.steps, traj.rejected_err, traj.rejected_delta, traj.evals)
+        out.append(trajectory_csv(traj).encode() + repr(counters).encode()
+                   + getattr(final, data).tobytes())
+    return out
+
+
+def solve_reports(mode: str, n: int, seeds) -> list:
+    out = []
+    for s in seeds:
+        rc, report, err = _run(["solve", mode, "--d", "3", "--n", str(n), "--eps", "0.01",
+                                "--trials", "1", "--seed", str(s)])
+        out.append(f"{rc}\n{report}\n{err}".encode())
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, default=1, help="flow-trace workload seed")
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as workdir:
+        groups = [
+            ("flow-trace", flow_trace_csvs(args.seed, workdir)),
+            ("steering", steering_flows()),
+            ("solve-basic", solve_reports("--basic", 12, range(15))),
+            ("solve-smoothed", solve_reports("--smoothed", 500, range(2))),
+        ]
+    for name, outputs in groups:
+        digest = hashlib.sha256(b"".join(outputs)).hexdigest()
+        print(f"{name:<15} {len(outputs):>3} {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -28,12 +28,17 @@ alone then sets the next step.  Sampling never steers the integration:
 between two accepted steps, the recorded samples come from cubic Hermite
 interpolation on each half step (dense output), on a uniform time grid fine
 enough that consecutive samples differ in delta by at most rel_delta_step.
-Under fixed_step every step is accepted and recorded, with no interpolated
-samples.  Retained samples are thinned to at most max_samples by doubling
-the record stride; once the stride is above one, a step's samples keep
-their first grid and only the ones the stride keeps are measured.  With
-record_samples off, only the first and final points are recorded; the
-integration, its counters and the final transforms are the same either way.
+A step's samples are handled as one stack: interpolated on the whole grid
+at once, measured in one drift call over K packed states, and recorded
+with one log-determinant call.  Frames are the exception: their drift
+stays written for one state, because it is the hot path of solve, so a
+stack of frames is measured state by state.  Under fixed_step every step
+is accepted and recorded, with no interpolated samples.  Retained samples
+are thinned to at most max_samples by doubling the record stride; once the
+stride is above one, a step's samples keep their first grid and only the
+ones the stride keeps are measured.  With record_samples off, only the
+first and final points are recorded; the integration, its counters and the
+final transforms are the same either way.
 Every accepted step is checked for growth of s and delta, whatever is
 recorded.
 """
@@ -135,12 +140,11 @@ class Trajectory:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Render the monitored columns as CSV (17 significant digits)."""
-    lines = [CSV_HEADER]
     cols = (traj.t, traj.s, traj.delta, traj.ds_dt, traj.dDelta_dt,
             traj.movement, traj.logdetX, traj.logdetY)
-    for i in range(len(traj.t)):
-        lines.append(",".join(f"{col[i]:.17g}" for col in cols))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(cols))
+    lines = [row % tuple(r) for r in np.column_stack(cols).tolist()]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +157,9 @@ class _System:
     the left and right drifts (vectors on a diagonal side), the velocity V
     that state_rate turns into the state's derivative, and the squared speed
     of the flowed object.  A system sets m, n, k and kind, then calls
-    __init__; it supplies drift and obj."""
+    __init__; it supplies drift and obj.  Packed states may carry leading
+    axes (a stack of K states is K x len(y)); drift is written for any
+    number of them, the frame's excepted, so one call measures a stack."""
 
     evals = 0
 
@@ -168,14 +174,15 @@ class _System:
         self.y0 = np.concatenate([state.ravel(), *sides, [0.0]])
 
     def _state(self, y):
-        return y[: self.sl_u].reshape(self.shape)
+        return y[..., : self.sl_u].reshape(y.shape[:-1] + self.shape)
 
     def _sides(self, y):
         """The left and right sides: a dense one as its matrix, a diagonal
         one as its vector of logs."""
-        x, yy = y[self.sl_u: self.sl_x], y[self.sl_x: self.sl_y]
-        return (x.reshape(self.m, self.m) if self.dense[0] else x,
-                yy.reshape(self.n, self.n) if self.dense[1] else yy)
+        lead = y.shape[:-1]
+        x, yy = y[..., self.sl_u: self.sl_x], y[..., self.sl_x: self.sl_y]
+        return (x.reshape(lead + (self.m, self.m)) if self.dense[0] else x,
+                yy.reshape(lead + (self.n, self.n)) if self.dense[1] else yy)
 
     def state_rate(self, v):
         """Derivative of the packed state, given the velocity V."""
@@ -193,13 +200,26 @@ class _System:
         return np.concatenate([self.state_rate(v), left.ravel(), right.ravel(),
                                [math.sqrt(speed2)]])
 
-    def measures(self, y):
-        """(s, delta, speed2) with delta = |L|^2 / m + |R|^2 / n."""
+    def _measures(self, y):
+        """(s, delta, speed2) over the leading axes of y, with
+        delta = |L|^2 / m + |R|^2 / n."""
         s, left, right, _, speed2 = self.drift(self._state(y))
-        return s, float(np.sum(left * left) / self.m + np.sum(right * right) / self.n), speed2
+        sq = [(side * side).sum(axis=(-2, -1) if dense else -1)
+              for side, dense in zip((left, right), self.dense)]
+        return s, sq[0] / self.m + sq[1] / self.n, speed2
+
+    def measures(self, y):
+        """(s, delta, speed2) of one packed state, as floats."""
+        s, delta, speed2 = self._measures(y)
+        return float(s), float(delta), float(speed2)
+
+    def measures_stack(self, ys):
+        """(s, delta, speed2) of each state in the stack ys, as three arrays."""
+        return self._measures(ys)
 
     def logdets(self, y):
-        return tuple(float(np.linalg.slogdet(side)[1]) if dense else float(side.sum())
+        """log|det| of the left and right transforms, over the leading axes of y."""
+        return tuple(np.linalg.slogdet(side)[1] if dense else side.sum(axis=-1)
                      for side, dense in zip(self._sides(y), self.dense))
 
     def transforms(self, y):
@@ -211,9 +231,6 @@ class _System:
         """Entries of the diagonal sides (None if both are dense)."""
         logs = [side for side, dense in zip(self._sides(y), self.dense) if not dense]
         return np.exp(np.concatenate(logs)) if logs else None
-
-    def movement(self, y):
-        return float(y[-1])
 
     def scaling_pair(self, y):
         return make_scaling_pair(*self.transforms(y))
@@ -228,13 +245,13 @@ class _OperatorSystem(_System):
         super().__init__(op.mats, True, True)
 
     def drift(self, u):
-        bl = np.einsum("kmn,kln->ml", u, u)
-        br = np.einsum("kmi,kmj->ij", u, u)
-        s = float(np.trace(bl))
-        cm = s * self.eye_m - self.m * bl
-        cn = s * self.eye_n - self.n * br
-        du = np.matmul(cm, u) + np.matmul(u, cn)
-        return s, cm, cn, du, float(np.einsum("kmn,kmn->", du, du))
+        bl = np.einsum("...kmn,...kln->...ml", u, u)
+        br = np.einsum("...kmi,...kmj->...ij", u, u)
+        s = np.trace(bl, axis1=-2, axis2=-1)
+        cm = s[..., None, None] * self.eye_m - self.m * bl
+        cn = s[..., None, None] * self.eye_n - self.n * br
+        du = np.matmul(cm[..., None, :, :], u) + np.matmul(u, cn[..., None, :, :])
+        return s, cm, cn, du, np.einsum("...kmn,...kmn->...", du, du)
 
     def obj(self, y):
         return OperatorTuple(self._state(y).copy())
@@ -258,6 +275,11 @@ class _FrameSystem(_System):
         du = u @ c + w[:, None] * u
         return s, c, w, du, float(np.einsum("nd,nd->", du, du))
 
+    # drift and f stay written for one state: they are the hot path of
+    # solve, and the stack-generic form cost them about a tenth per call
+    def measures_stack(self, ys):
+        return np.array([self.measures(y) for y in ys]).T
+
     def obj(self, y):
         return Frame(self._state(y).copy())
 
@@ -277,17 +299,19 @@ class _MatrixSystem(_System):
         super().__init__(np.log(mat.entries.ravel()[self.support]), False, False)
 
     def _mat(self, logs):
-        mm = np.zeros((self.m, self.n))
-        mm.ravel()[self.support] = np.exp(logs)
-        return mm
+        lead = logs.shape[:-1]
+        mm = np.zeros(lead + (self.m * self.n,))
+        mm[..., self.support] = np.exp(logs)
+        return mm.reshape(lead + (self.m, self.n))
 
     def drift(self, logs):
         mm = self._mat(logs)
-        r = mm.sum(axis=1)
-        c = mm.sum(axis=0)
-        s = float(r.sum())
-        rate = 2.0 * s - self.m * r[:, None] - self.n * c[None, :]
-        return s, s - self.m * r, s - self.n * c, rate, float(np.sum(rate * rate * mm))
+        r = mm.sum(axis=-1)
+        c = mm.sum(axis=-2)
+        s = r.sum(axis=-1)
+        rate = 2.0 * s[..., None, None] - self.m * r[..., :, None] - self.n * c[..., None, :]
+        return (s, s[..., None] - self.m * r, s[..., None] - self.n * c, rate,
+                np.sum(rate * rate * mm, axis=(-2, -1)))
 
     def state_rate(self, v):
         return 2.0 * v.ravel()[self.support]
@@ -310,14 +334,16 @@ def _rk4(system, y, k1, h):
 
 def _hermite(th, h, ya, fa, yb, fb):
     """Cubic Hermite interpolant of (ya, fa) and (yb, fb) a time h apart,
-    at the fraction th of the interval."""
+    at the fractions th of the interval (a column: one state per row)."""
     return (ya + th * th * (3.0 - 2.0 * th) * (yb - ya)
             + h * th * (1.0 - th) * ((1.0 - th) * fa - th * fb))
 
 
 def _dense_samples(system, t, h, ends, meas_a, meas_b, rel, stride=1):
-    """Samples strictly inside the accepted step [t, t + h], as (t, y,
-    measures) triples.  ends = (y, f(y), y_half, f(y_half), y_two, f(y_two))
+    """Samples strictly inside the accepted step [t, t + h], as (times,
+    states, measures), the states stacked one per row and the measures
+    their (s, delta, speed2) arrays, or None if there are none.
+    ends = (y, f(y), y_half, f(y_half), y_two, f(y_two))
     holds the step's start, midpoint and end states with their derivatives,
     and meas_a, meas_b the measures at its start and end; each half step is
     interpolated by its own cubic.  The grid is uniform in time.  Its size
@@ -332,32 +358,35 @@ def _dense_samples(system, t, h, ends, meas_a, meas_b, rel, stride=1):
     (measures None): the recorder measures the samples it keeps."""
     (_, delta_a, speed2_a), (_, delta_b, speed2_b) = meas_a, meas_b
     if not 0.0 < delta_b < delta_a or rel >= 1.0:
-        return []
+        return None
     y, fy, y_half, f_half, y_two, f_two = ends
     drop = math.log(delta_a / delta_b)
     drop_at_end_rate = 4.0 * h * max(speed2_a / delta_a, speed2_b / delta_b)
     cells = math.ceil(min(max(drop, drop_at_end_rate), 2.0 * drop) / -math.log1p(-rel))
     while cells > 1:
         theta = np.arange(1, cells) / cells
-        states = [
-            _hermite(2.0 * th, 0.5 * h, y, fy, y_half, f_half) if th <= 0.5
-            else _hermite(2.0 * th - 1.0, 0.5 * h, y_half, f_half, y_two, f_two)
-            for th in theta
-        ]
+        first = theta <= 0.5
+        states = np.concatenate([
+            _hermite(2.0 * theta[first, None], 0.5 * h, y, fy, y_half, f_half),
+            _hermite(2.0 * theta[~first, None] - 1.0, 0.5 * h, y_half, f_half, y_two, f_two),
+        ])
         if stride > 1:
-            return list(zip(t + theta * h, states, [None] * len(states)))
-        meas = [system.measures(v) for v in states]
-        deltas = np.array([delta_a] + [m[1] for m in meas] + [delta_b])
+            return t + theta * h, states, None
+        meas = system.measures_stack(states)
+        deltas = np.concatenate([[delta_a], meas[1], [delta_b]])
         changes = np.diff(deltas)
         worst = float(np.max(-changes / deltas[:-1]))
         if worst <= rel or np.any(changes >= 0.0):
-            return list(zip(t + theta * h, states, meas))
+            return t + theta * h, states, meas
         cells = max(cells + 1, math.ceil(cells * worst / rel))
-    return []
+    return None
 
 
 class _Recorder:
-    """Sample collector with stride-doubling thinning."""
+    """Sample collector with stride-doubling thinning.  Points arrive
+    numbered in order; the rows kept are those whose number is a multiple
+    of the stride, which doubles (halving the rows) whenever there are more
+    than max_samples of them."""
 
     def __init__(self, max_samples: int, record_states: bool, record_scalings: bool):
         self.max_samples = max_samples
@@ -367,28 +396,36 @@ class _Recorder:
         self.stride = 1
         self.count = 0
 
-    def add(self, system, y, t, meas=None, force=False):
-        """Record the point y at time t; meas = system.measures(y), which is
-        computed here when None and the point is kept."""
-        self.count += 1
-        if not force and (self.count - 1) % self.stride != 0:
+    def add(self, system, ts, ys, meas=None, force=False):
+        """Record the stack of points ys at the times ts; meas holds their
+        (s, delta, speed2) arrays, and is computed here, for the kept points
+        only, when None.  force keeps every point."""
+        first, step = (0, 1) if force else (-self.count % self.stride, self.stride)
+        self.count += len(ts)
+        ts, ys = ts[first::step], ys[first::step]
+        if not len(ts):
             return
-        s, delta, speed2 = meas if meas is not None else system.measures(y)
-        ldx, ldy = system.logdets(y)
-        self.rows.append((t, s, delta, -2.0 * delta, -4.0 * speed2,
-                          system.movement(y), ldx, ldy))
+        s, delta, speed2 = (system.measures_stack(ys) if meas is None
+                            else (v[first::step] for v in meas))
+        block = np.column_stack([ts, s, delta, -2.0 * delta, -4.0 * speed2, ys[:, -1],
+                                 *system.logdets(ys)])
+        self.rows.extend(block.tolist())
         if self.states is not None:
-            self.states.append(FlowState(t, system.obj(y)))
+            self.states.extend(FlowState(t, system.obj(y)) for t, y in zip(ts.tolist(), ys))
         if self.scalings is not None:
-            self.scalings.append(tuple(full_transform(a) for a in system.transforms(y)))
-        if len(self.rows) > self.max_samples:
-            keep = self.rows[::2]
-            self.rows = keep
+            self.scalings.extend(tuple(full_transform(a) for a in system.transforms(y))
+                                 for y in ys)
+        while len(self.rows) > self.max_samples:
+            self.rows = self.rows[::2]
             if self.states is not None:
                 self.states = self.states[::2]
             if self.scalings is not None:
                 self.scalings = self.scalings[::2]
             self.stride *= 2
+
+    def add_point(self, system, t, y, meas, force=False):
+        """add for the single point y, with meas = system.measures(y)."""
+        self.add(system, np.array([t]), y[None], np.array(meas)[:, None], force)
 
 
 def _integrate(system, target_delta, t_max, opts: FlowOptions):
@@ -402,7 +439,7 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         target_delta = 1e-12 * s0 * s0
 
     rec = _Recorder(opts.max_samples, opts.record_states, opts.record_scalings)
-    rec.add(system, y, t, meas)
+    rec.add_point(system, t, y, meas)
 
     scalings = system.diag_scalings(y)
     scale_max = float(scalings.max()) if scalings is not None else math.nan
@@ -450,15 +487,16 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         f_two = system.f(y_two)
         if opts.record_samples and opts.fixed_step is None:
             ends = (y, fy, y_half, f_half, y_two, f_two)
-            for t_s, y_s, meas_s in _dense_samples(system, t, h, ends, meas, meas_two,
-                                                   opts.rel_delta_step, rec.stride):
-                rec.add(system, y_s, t_s, meas_s)
+            samples = _dense_samples(system, t, h, ends, meas, meas_two,
+                                     opts.rel_delta_step, rec.stride)
+            if samples is not None:
+                rec.add(system, *samples)
         y, fy, meas = y_two, f_two, meas_two
         t += h
         delta_cur = meas[1]
         steps += 1
         if opts.record_samples:
-            rec.add(system, y, t, meas)
+            rec.add_point(system, t, y, meas)
         scalings = system.diag_scalings(y)
         if scalings is not None:
             scale_max = max(scale_max, float(scalings.max()))
@@ -471,7 +509,7 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
 
     # make sure the final point is retained even if thinning skipped it
     if rec.rows and rec.rows[-1][0] != t:
-        rec.add(system, y, t, meas, force=True)
+        rec.add_point(system, t, y, meas, force=True)
 
     rows = np.array(rec.rows, dtype=float)
     kappa = scale_max / scale_min if scalings is not None and scale_min > 0 else math.nan

@@ -353,16 +353,53 @@ def test_dense_sample_grid_refined_until_spaced():
     y_two = _rk4(system, y_half, f_half, 0.5 * h)
     s_b, delta_b, _ = system.measures(y_two)
     rel = 0.01
-    samples = _dense_samples(system, 0.0, h, (y, fy, y_half, f_half, y_two, system.f(y_two)),
-                             (s, delta_a, 0.0), (s_b, delta_b, 0.0), rel)
+    times, states, meas = _dense_samples(
+        system, 0.0, h, (y, fy, y_half, f_half, y_two, system.f(y_two)),
+        (s, delta_a, 0.0), (s_b, delta_b, 0.0), rel)
     estimate = math.ceil(math.log(delta_a / delta_b) / -math.log1p(-rel))
-    assert len(samples) + 1 > estimate
-    times = np.array([0.0] + [t for t, _, _ in samples] + [h])
+    assert len(times) + 1 > estimate
+    times = np.concatenate([[0.0], times, [h]])
     assert np.all(np.diff(times) > 0.0)
-    deltas = np.array([delta_a] + [meas[1] for _, _, meas in samples] + [delta_b])
+    deltas = np.concatenate([[delta_a], meas[1], [delta_b]])
     assert np.max(np.abs(np.diff(deltas)) / deltas[:-1]) <= rel
-    for _, state, meas in samples[::10]:
-        assert system.measures(state) == meas
+    for state, *sample_meas in list(zip(states, *meas))[::10]:
+        assert system.measures(state) == tuple(sample_meas)
+
+
+def _measured_state_by_state(system_cls):
+    """system_cls with its stacked measures and log-determinants taken one
+    packed state at a time."""
+
+    class PerState(system_cls):
+        def measures_stack(self, ys):
+            return np.array([self.measures(y) for y in ys]).T
+
+        def logdets(self, ys):
+            return np.array([system_cls.logdets(self, y) for y in ys]).T
+
+    return PerState
+
+
+@pytest.mark.parametrize("opts", [validation_options(), FlowOptions(), FlowOptions(max_samples=64)],
+                         ids=["validation", "default", "thinned"])
+@pytest.mark.parametrize("make, system_cls", [
+    (_STEERING_INPUTS[0][0], _FrameSystem),
+    (_STEERING_INPUTS[1][0], _OperatorSystem),
+    (_STEERING_INPUTS[2][0], _MatrixSystem),
+], ids=["frame", "operator", "matrix"])
+def test_stacked_measures_match_state_by_state(make, system_cls, opts):
+    obj = make()
+    final, traj = _integrate(system_cls(obj), None, 1e6, opts)
+    final_ref, ref = _integrate(_measured_state_by_state(system_cls)(obj), None, 1e6, opts)
+    assert trajectory_csv(traj) == trajectory_csv(ref)
+    assert (traj.status, traj.steps, traj.rejected_err, traj.rejected_delta, traj.evals) == (
+        ref.status, ref.steps, ref.rejected_err, ref.rejected_delta, ref.evals)
+    assert _final_bytes(final) == _final_bytes(final_ref)
+    if opts.max_samples == 64:
+        # the unthinned trace is over four times longer, so the stride
+        # passed 1 and later steps took the unmeasured-grid path
+        _, full = _integrate(system_cls(obj), None, 1e6, FlowOptions())
+        assert len(traj) <= 65 and len(full) > 4 * 64
 
 
 class _RoundoffFloor:
@@ -372,19 +409,20 @@ class _RoundoffFloor:
     def __init__(self, budget):
         self.budget = budget
 
-    def measures(self, v):
-        self.budget -= 1
+    def measures_stack(self, ys):
+        self.budget -= len(ys)
         if self.budget < 0:
             raise RuntimeError("sample grid refined without end")
-        return 1.0, 1e-30 * (1.0 + 0.01 * math.sin(1e3 * float(v[0]))), 0.0
+        return (np.ones(len(ys)), 1e-30 * (1.0 + 0.01 * np.sin(1e3 * ys[:, 0])),
+                np.zeros(len(ys)))
 
 
 def test_dense_sample_grid_kept_at_delta_floor():
     line = np.array([0.0]), np.array([1.0])
     ends = (line[0], line[1], 0.5 * line[1], line[1], line[1], line[1])
     system = _RoundoffFloor(budget=10_000)
-    samples = _dense_samples(system, 0.0, 1.0, ends, (1.0, 1.02e-30, 0.0),
-                             (1.0, 0.98e-30, 0.0), 1e-3)
+    samples, _, _ = _dense_samples(system, 0.0, 1.0, ends, (1.0, 1.02e-30, 0.0),
+                                   (1.0, 0.98e-30, 0.0), 1e-3)
     # the first grid (from the drop of log delta) is kept as it is
     assert len(samples) + 1 == math.ceil(math.log(1.02 / 0.98) / -math.log1p(-1e-3))
 
@@ -454,13 +492,15 @@ def test_s_growth_on_an_accepted_step_raises_without_samples():
 
 
 def test_thinned_recording_measures_only_kept_samples(monkeypatch):
-    calls = []
-    measures = _MatrixSystem.measures
+    calls = []   # states measured, one at a time or as a stack
+    measures, measures_stack = _MatrixSystem.measures, _MatrixSystem.measures_stack
     monkeypatch.setattr(_MatrixSystem, "measures",
                         lambda self, y: calls.append(1) or measures(self, y))
+    monkeypatch.setattr(_MatrixSystem, "measures_stack",
+                        lambda self, ys: calls.append(len(ys)) or measures_stack(self, ys))
     a = _near_uniform_matrix(3, 4, 30)
     _, thin = matrix_flow(a, opts=FlowOptions(max_samples=64))
-    thin_calls = len(calls)
+    thin_calls = sum(calls)
     _, dense = matrix_flow(a, opts=FlowOptions(max_samples=100_000))
     assert len(thin) <= 65 and len(dense) > 4 * len(thin)
     # every kept row and every step costs at most two measures; measuring
