@@ -12,6 +12,12 @@ Groups:
                   validation_options()
   solve-basic     `solve --basic` reports (d=3, n=12), seeds 0-14
   solve-smoothed  `solve --smoothed` reports (d=3, n=500), seeds 0-1
+  capacity        `capacity` reports of tight_example(k) for k = 1..6,
+                  random_matrix(4, 6, s) and random_operator(4, 3, 5, s) for
+                  s = 0..4, and the embedded frames
+                  frame_to_operator(random_frame(3, n, (s, n))) for
+                  n in {6, 9, 12}, s = 0..9 (their right transform is exactly
+                  diagonal, so they pin how its log-determinant is taken)
 """
 
 import argparse
@@ -25,7 +31,7 @@ import numpy as np
 
 from frameflow import cli
 from frameflow.capacity import tight_example
-from frameflow.core import save_json
+from frameflow.core import frame_to_operator, save_json
 from frameflow.dynamics import (
     frame_flow,
     matrix_flow,
@@ -33,7 +39,7 @@ from frameflow.dynamics import (
     trajectory_csv,
     validation_options,
 )
-from frameflow.generate import near_parseval_frame, random_matrix, random_operator
+from frameflow.generate import near_parseval_frame, random_frame, random_matrix, random_operator
 
 FLOW_DROP = 0.1   # the flow-trace workload's delta target, as a share of delta0
 
@@ -104,6 +110,20 @@ def solve_reports(mode: str, n: int, seeds) -> list:
     return out
 
 
+def capacity_reports(workdir: str) -> list:
+    objs = [tight_example(k).A for k in range(1, 7)]
+    objs += [random_matrix(4, 6, s) for s in range(5)]
+    objs += [random_operator(4, 3, 5, s) for s in range(5)]
+    objs += [frame_to_operator(random_frame(3, n, (s, n))) for n in (6, 9, 12) for s in range(10)]
+    out = []
+    for i, obj in enumerate(objs):
+        path = os.path.join(workdir, f"capacity-{i}.json")
+        save_json(obj, path)
+        rc, report, err = _run(["capacity", "--in", path])
+        out.append(f"{rc}\n{report}\n{err}".encode())
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -116,6 +136,7 @@ def main() -> None:
             ("steering", steering_flows()),
             ("solve-basic", solve_reports("--basic", 12, range(15))),
             ("solve-smoothed", solve_reports("--smoothed", 500, range(2))),
+            ("capacity", capacity_reports(workdir)),
         ]
     for name, outputs in groups:
         digest = hashlib.sha256(b"".join(outputs)).hexdigest()

@@ -37,6 +37,18 @@ class CapacityError(RuntimeError):
     pass
 
 
+def _logabsdet(a: np.ndarray) -> float:
+    """log|det| of a transform given as its diagonal vector or as a matrix."""
+    if a.ndim == 1:
+        return float(np.sum(np.log(np.abs(a))))
+    # an exactly diagonal matrix (operator Sinkhorn's right side on an
+    # embedded frame) takes the diagonal sum, not slogdet, only to keep the
+    # reported values byte-identical: slogdet differs in the last bits
+    if np.all(a == np.diag(np.diag(a))):
+        return float(np.sum(np.log(np.abs(np.diag(a)))))
+    return float(np.linalg.slogdet(a)[1])
+
+
 @dataclass(frozen=True)
 class CapacityResult:
     value: float
@@ -227,8 +239,8 @@ def matrix_capacity(a: NonNegMatrix, tol: float = 1e-12, max_iters: int = 100_00
         return CapacityResult(0.0, "zero-detected", cert, 0.0, 0.0)
     s_in = size_of(a)
     lower, upper = capacity_bounds(a)
-    b, pair, report = sinkhorn(a, tol * s_in * s_in, max_iters)
-    value = size_of(b) * math.exp(-pair.left_logdet / a.m - pair.right_logdet / a.n)
+    b, (x, y), report = sinkhorn(a, tol * s_in * s_in, max_iters)
+    value = size_of(b) * math.exp(-_logabsdet(x) / a.m - _logabsdet(y) / a.n)
     value = min(value, s_in)
     method = "scaling-based" if report.converged else "bracket-only"
     return CapacityResult(value, method, None, lower, upper, report.converged, report.iterations)
@@ -381,10 +393,10 @@ def operator_capacity(u: OperatorTuple, tol: float = 1e-12, max_iters: int = 100
     s_in = size_of(u)
     lower, upper = capacity_bounds(u)
     try:
-        v, pair, report = operator_sinkhorn(u, tol * s_in * s_in, max_iters)
+        v, (left, right), report = operator_sinkhorn(u, tol * s_in * s_in, max_iters)
     except ScalingError as exc:
         return CapacityResult(0.0, "zero-detected", {"reason": str(exc)}, 0.0, 0.0)
-    value = size_of(v) * math.exp(-2.0 * pair.left_logdet / u.m - 2.0 * pair.right_logdet / u.n)
+    value = size_of(v) * math.exp(-2.0 * _logabsdet(left) / u.m - 2.0 * _logabsdet(right) / u.n)
     value = min(value, s_in)
     method = "scaling-based" if report.converged else "bracket-only"
     return CapacityResult(value, method, None, lower, upper, report.converged, report.iterations)

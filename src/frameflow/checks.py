@@ -246,7 +246,7 @@ def check_scaling_capacity_covariance(seed: int = 0) -> CheckResult:
 # serves them all, and the checks only read the results
 @functools.lru_cache(maxsize=1)
 def _flow_triple(seed: int):
-    opts = validation_options(record_states=True, record_scalings=True)
+    opts = validation_options(record_states=True)
     op = random_operator(4, 3, 5, (seed, 8, 0))
     fr = near_parseval_frame(3, 8, 0.05, (seed, 8, 1))[0]
     mat = random_matrix(3, 4, (seed, 8, 2))
@@ -310,15 +310,16 @@ def check_flow_reconstruction(seed: int = 0) -> CheckResult:
     for obj, _, traj in _flow_triple(seed):
         stride = max(1, len(traj.states) // 8)
         for idx in range(0, len(traj.states), stride):
-            state, (x, y) = traj.states[idx], traj.scalings[idx]
+            state = traj.states[idx]
+            x, y = state.transforms
             if traj.kind == "operator":
                 recon = np.matmul(np.matmul(x, obj.mats), y)
                 cur = state.obj.mats
             elif traj.kind == "frame":
-                recon = (x @ obj.vectors.T).T * np.diag(y)[:, None]
+                recon = (x @ obj.vectors.T).T * y[:, None]
                 cur = state.obj.vectors
             else:
-                recon = obj.entries * np.outer(np.diag(x), np.diag(y)) ** 2
+                recon = obj.entries * np.outer(x, y) ** 2
                 cur = state.obj.entries
             scale = max(float(np.abs(cur).max()), 1e-300)
             worst = max(worst, float(np.abs(recon - cur).max()) / scale)

@@ -13,6 +13,10 @@ Conventions
 * frame: u_i <- S^{-1/2} u_i, then u_i <- sqrt(d/n) * u_i / ||u_i|| — the same
   double step as the operator iteration applied to the frame embedding, so the
   two agree iterate-by-iterate.
+
+Each routine returns (output, (left, right), report): the accumulated
+transforms taking the input to the output, a diagonal side as the 1-D vector
+of its diagonal and any other side as a square matrix.
 """
 
 from __future__ import annotations
@@ -30,82 +34,6 @@ class ScalingError(RuntimeError):
     """Raised when a scaling step is undefined (zero row, singular Gram, ...)."""
 
 
-def full_transform(a: np.ndarray) -> np.ndarray:
-    """The square matrix of a transform stored either as that matrix or as
-    the 1-D vector of its diagonal."""
-    if a.ndim == 2:
-        return a
-    full = np.diag(a)
-    full.setflags(write=False)
-    return full
-
-
-def _logabsdet(a: np.ndarray) -> float:
-    if a.ndim == 1:
-        d = np.abs(a)
-        if np.any(d == 0.0):
-            return -math.inf
-        return float(np.sum(np.log(d)))
-    sign, logdet = np.linalg.slogdet(a)
-    return float(logdet) if sign != 0 else -math.inf
-
-
-@dataclass(frozen=True)
-class ScalingPair:
-    """Accumulated left/right transforms taking the input to the output.
-
-    A diagonal side is stored as the 1-D vector of its diagonal, any other
-    side as a square matrix (``left_stored``/``right_stored``, read-only).
-    ``left``/``right`` build the full read-only matrix on access, and the
-    ``*_diagonal`` flags say which sides are stored as vectors.
-    ``*_logdet`` stores log|det| of the corresponding transform.
-    """
-
-    left_stored: np.ndarray
-    right_stored: np.ndarray
-    left_logdet: float
-    right_logdet: float
-
-    def __post_init__(self):
-        for name in ("left_stored", "right_stored"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim not in (1, 2) or arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"{name} transform must be a vector or square, got {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def left(self) -> np.ndarray:
-        return full_transform(self.left_stored)
-
-    @property
-    def right(self) -> np.ndarray:
-        return full_transform(self.right_stored)
-
-    @property
-    def left_diagonal(self) -> bool:
-        return self.left_stored.ndim == 1
-
-    @property
-    def right_diagonal(self) -> bool:
-        return self.right_stored.ndim == 1
-
-
-def _stored(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 2 and np.all(a == np.diag(np.diag(a))):
-        return np.diag(a)
-    return a
-
-
-def make_scaling_pair(left: np.ndarray, right: np.ndarray) -> ScalingPair:
-    """Build a ScalingPair from transforms given as matrices or as diagonal
-    vectors; a matrix whose off-diagonal part is exactly zero is stored as
-    its diagonal."""
-    left, right = _stored(left), _stored(right)
-    return ScalingPair(left, right, _logabsdet(left), _logabsdet(right))
-
-
 @dataclass(frozen=True)
 class IterationReport:
     iterations: int
@@ -118,10 +46,10 @@ class IterationReport:
 
 def sinkhorn(
     a: NonNegMatrix, tol: float = 1e-12, max_iters: int = 100_000
-) -> tuple[NonNegMatrix, ScalingPair, IterationReport]:
+) -> tuple[NonNegMatrix, tuple[np.ndarray, np.ndarray], IterationReport]:
     """Alternate row/column normalization of a nonnegative matrix.
 
-    Returns (B, scaling, report) with B = diag(x) A diag(y) and
+    Returns (B, (x, y), report) with B = diag(x) A diag(y) and
     delta(B) <= tol on convergence.  A zero row or column makes the update
     undefined and raises ScalingError.
     """
@@ -152,14 +80,13 @@ def sinkhorn(
         iterations += 1
         delta = delta_of(NonNegMatrix(mat))
 
-    pair = make_scaling_pair(x, y)
     report = IterationReport(iterations, float(delta), bool(delta <= tol))
-    return NonNegMatrix(mat), pair, report
+    return NonNegMatrix(mat), (x, y), report
 
 
 def operator_sinkhorn(
     u: OperatorTuple, tol: float = 1e-12, max_iters: int = 100_000
-) -> tuple[OperatorTuple, ScalingPair, IterationReport]:
+) -> tuple[OperatorTuple, tuple[np.ndarray, np.ndarray], IterationReport]:
     """Alternate exact left/right normalization of an operator tuple.
 
     Odd steps make sum V_i V_i^T the identity, even steps make
@@ -194,14 +121,13 @@ def operator_sinkhorn(
         iterations += 1
         delta = delta_of(OperatorTuple(mats))
 
-    pair = make_scaling_pair(left, right)
     report = IterationReport(iterations, float(delta), bool(delta <= tol))
-    return OperatorTuple(mats), pair, report
+    return OperatorTuple(mats), (left, right), report
 
 
 def frame_alternating(
     f: Frame, tol: float = 1e-12, max_iters: int = 100_000
-) -> tuple[Frame, ScalingPair, IterationReport]:
+) -> tuple[Frame, tuple[np.ndarray, np.ndarray], IterationReport]:
     """Alternating exact-Parseval / equal-norm steps for a frame.
 
     The double step is u <- S^{-1/2} u followed by the norm reset to
@@ -235,6 +161,5 @@ def frame_alternating(
         iterations += 1
         delta = delta_of(Frame(vecs))
 
-    pair = ScalingPair(left, yscale, _logabsdet(left), _logabsdet(yscale))
     report = IterationReport(iterations, float(delta), bool(delta <= tol))
-    return Frame(vecs), pair, report
+    return Frame(vecs), (left, yscale), report

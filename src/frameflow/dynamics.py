@@ -41,6 +41,14 @@ first and final points are recorded; the integration, its counters and the
 final transforms are the same either way.
 Every accepted step is checked for growth of s and delta, whatever is
 recorded.
+
+A flow ends "converged" when delta reaches its target, "t_max" when time
+runs out, and "collapsed" when it reaches the target only because s shrank:
+delta/s^2 at the end is more than COLLAPSE_FACTOR times the relative target
+target/s0^2 (a zero-capacity input flows towards zero this way).  The
+trajectory keeps the final (left, right) transforms, and each recorded
+FlowState those at its sample, a diagonal side as its vector and a dense
+one as its matrix.
 """
 
 from __future__ import annotations
@@ -51,9 +59,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Frame, NonNegMatrix, OperatorTuple, ScalingObject
-from .discrete_scaling import ScalingPair, full_transform, make_scaling_pair
 
 CSV_HEADER = "t,s,delta,ds_dt,dDelta_dt,movement,logdetX,logdetY"
+# s falls a little on every flow (ds/dt = -2 delta), so a balanced flow can
+# end somewhat above the relative target; 4 means s halved or worse while
+# delta sat at the target
+COLLAPSE_FACTOR = 4.0
 
 
 class FlowError(RuntimeError):
@@ -67,7 +78,6 @@ class FlowOptions:
     max_samples: int = 10_000         # retained-sample cap (stride doubling)
     record_samples: bool = True       # False: record only the first and final points
     record_states: bool = False       # keep per-sample FlowState objects
-    record_scalings: bool = False     # keep per-sample (X, Y) transforms
     fixed_step: float | None = None   # disable adaptivity (diagnostics)
 
     def __post_init__(self):
@@ -93,10 +103,12 @@ def validation_options(**overrides) -> FlowOptions:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One sampled point of a flow: time and the reconstructed object."""
+    """One sampled point of a flow: time, the reconstructed object and the
+    accumulated (left, right) transforms, a diagonal side as its vector."""
 
     t: float
     obj: ScalingObject
+    transforms: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -113,9 +125,8 @@ class Trajectory:
     movement: np.ndarray       # arc length travelled by the flowed object
     logdetX: np.ndarray
     logdetY: np.ndarray
-    status: str                # "converged" | "t_max"
-    scaling: ScalingPair       # final accumulated transforms
-    kappa_ratio: float         # max/min diagonal scaling over the run (nan if none)
+    status: str                # "converged" | "collapsed" (shrank to the target) | "t_max"
+    transforms: tuple[np.ndarray, np.ndarray]  # final (left, right)
     scale_max: float
     scale_min: float
     steps: int                 # accepted steps
@@ -123,7 +134,6 @@ class Trajectory:
     rejected_delta: int        # steps rejected because delta grew
     evals: int                 # right-hand-side evaluations
     states: list[FlowState] | None = None
-    scalings: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         # delta and s never increase along a flow; allow float-resolution slack
@@ -231,9 +241,6 @@ class _System:
         """Entries of the diagonal sides (None if both are dense)."""
         logs = [side for side, dense in zip(self._sides(y), self.dense) if not dense]
         return np.exp(np.concatenate(logs)) if logs else None
-
-    def scaling_pair(self, y):
-        return make_scaling_pair(*self.transforms(y))
 
 
 class _OperatorSystem(_System):
@@ -388,11 +395,10 @@ class _Recorder:
     of the stride, which doubles (halving the rows) whenever there are more
     than max_samples of them."""
 
-    def __init__(self, max_samples: int, record_states: bool, record_scalings: bool):
+    def __init__(self, max_samples: int, record_states: bool):
         self.max_samples = max_samples
         self.rows = []
         self.states = [] if record_states else None
-        self.scalings = [] if record_scalings else None
         self.stride = 1
         self.count = 0
 
@@ -411,16 +417,12 @@ class _Recorder:
                                  *system.logdets(ys)])
         self.rows.extend(block.tolist())
         if self.states is not None:
-            self.states.extend(FlowState(t, system.obj(y)) for t, y in zip(ts.tolist(), ys))
-        if self.scalings is not None:
-            self.scalings.extend(tuple(full_transform(a) for a in system.transforms(y))
-                                 for y in ys)
+            self.states.extend(FlowState(t, system.obj(y), system.transforms(y))
+                               for t, y in zip(ts.tolist(), ys))
         while len(self.rows) > self.max_samples:
             self.rows = self.rows[::2]
             if self.states is not None:
                 self.states = self.states[::2]
-            if self.scalings is not None:
-                self.scalings = self.scalings[::2]
             self.stride *= 2
 
     def add_point(self, system, t, y, meas, force=False):
@@ -438,7 +440,7 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
     if target_delta is None:
         target_delta = 1e-12 * s0 * s0
 
-    rec = _Recorder(opts.max_samples, opts.record_states, opts.record_scalings)
+    rec = _Recorder(opts.max_samples, opts.record_states)
     rec.add_point(system, t, y, meas)
 
     scalings = system.diag_scalings(y)
@@ -502,7 +504,8 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
             scale_max = max(scale_max, float(scalings.max()))
             scale_min = min(scale_min, float(scalings.min()))
         if delta_cur <= target_delta:
-            status = "converged"
+            collapsed = delta_cur * s0 * s0 > COLLAPSE_FACTOR * target_delta * meas[0] ** 2
+            status = "collapsed" if collapsed else "converged"
         elif t >= t_max:
             status = "t_max"
         h *= factor
@@ -512,7 +515,6 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         rec.add_point(system, t, y, meas, force=True)
 
     rows = np.array(rec.rows, dtype=float)
-    kappa = scale_max / scale_min if scalings is not None and scale_min > 0 else math.nan
     traj = Trajectory(
         kind=system.kind,
         m=system.m,
@@ -522,11 +524,11 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         dDelta_dt=rows[:, 4], movement=rows[:, 5], logdetX=rows[:, 6],
         logdetY=rows[:, 7],
         status=status,
-        scaling=system.scaling_pair(y),
-        kappa_ratio=kappa, scale_max=scale_max, scale_min=scale_min,
+        transforms=system.transforms(y),
+        scale_max=scale_max, scale_min=scale_min,
         steps=steps, rejected_err=rejected_err, rejected_delta=rejected_delta,
         evals=system.evals,
-        states=rec.states, scalings=rec.scalings,
+        states=rec.states,
     )
     return system.obj(y), traj
 

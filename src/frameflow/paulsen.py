@@ -362,7 +362,7 @@ def solve_smoothed(
         flowed, traj = frame_flow(perturbed, target_delta=target, t_max=t_max,
                                   opts=opts or FlowOptions(record_samples=False))
         if traj.status != "converged":
-            raise FlowError(f"iteration {level}: flow hit t_max before the target")
+            raise FlowError(f"iteration {level}: flow ended {traj.status!r}, not 'converged'")
         nxt = _renorm_size(flowed, d)
         delta_next = delta_of(nxt)
         if delta_next > delta0 / 2.0 ** (level + 1):

@@ -1,6 +1,7 @@
 """Capacity computation, bounds, reductions, and the zero-capacity certificate."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from frameflow.capacity import (
     tensor_square,
     tight_example,
 )
+from frameflow.discrete_scaling import operator_sinkhorn
 from frameflow.dynamics import frame_flow
 from frameflow.generate import (
     harmonic_frame,
@@ -342,6 +344,24 @@ def test_operator_capacity_agrees_with_frame_route():
         v1 = operator_capacity(frame_to_operator(fr)).value
         v2 = frame_capacity(fr).value
         assert abs(v1 - v2) <= 1e-5 * max(v1, v2)
+
+
+def test_operator_capacity_sums_logs_of_exactly_diagonal_right_side():
+    # on an embedded frame operator Sinkhorn leaves the right transform
+    # exactly diagonal; its log|det| is the sum of the diagonal logs, which
+    # keeps the value's bytes (slogdet moves this one in its last bit)
+    u = frame_to_operator(random_frame(3, 12, (2, 12)))
+    v, (left, right), _ = operator_sinkhorn(u, 1e-12 * size_of(u) ** 2)
+    assert np.all(right == np.diag(np.diag(right)))
+    left_logdet = float(np.linalg.slogdet(left)[1])
+
+    def value(right_logdet):
+        return min(size_of(v) * math.exp(-2.0 * left_logdet / u.m - 2.0 * right_logdet / u.n),
+                   size_of(u))
+
+    summed = value(float(np.sum(np.log(np.abs(np.diag(right))))))
+    assert operator_capacity(u).value == summed
+    assert summed != value(float(np.linalg.slogdet(right)[1]))
 
 
 def test_operator_capacity_bracket(rng):

@@ -391,10 +391,10 @@ def test_capacity_matrix_report_carries_convex_flag(tmp_path, capsys):
 
 def test_check_runs_each_recorded_flow_once(monkeypatch):
     # four flow checks read the same three validation-profile flows, which
-    # record states and scalings; the suite is cut to the flow layer,
-    # because cap_lower_bracket alone runs Sinkhorn to its cap for minutes
+    # record states with their transforms; the suite is cut to the flow
+    # layer, because cap_lower_bracket alone runs Sinkhorn to its cap for minutes
     recorded = {"frame": 0, "matrix": 0, "operator": 0}
-    shared = validation_options(record_states=True, record_scalings=True)
+    shared = validation_options(record_states=True)
 
     def counting(kind, flow):
         def wrapper(obj, *args, **kwargs):

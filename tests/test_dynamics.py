@@ -14,9 +14,8 @@ from frameflow import (
     frame_to_operator,
     size_of,
 )
-from frameflow.capacity import matrix_capacity
+from frameflow.capacity import matrix_capacity, tight_example
 from frameflow.checks import identity_errors, validate_trace_csv
-from frameflow.discrete_scaling import full_transform
 from frameflow.dynamics import (
     CSV_HEADER,
     FlowError,
@@ -141,8 +140,8 @@ def test_system_drift_matches_core_measures(obj, system_cls):
         rate = np.sqrt(obj.entries[obj.entries > 0.0]) * rate / 2.0
     assert speed2 == pytest.approx(float(np.sum(rate * rate)), rel=1e-12)
     assert system.logdets(y0) == (0.0, 0.0)
-    for side, size in zip(system.transforms(y0), (system.m, system.n)):
-        np.testing.assert_array_equal(full_transform(side), np.eye(size))
+    for side, size, dense in zip(system.transforms(y0), (system.m, system.n), system.dense):
+        np.testing.assert_array_equal(side, np.eye(size) if dense else np.ones(size))
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +163,10 @@ def test_unit_determinant_scalings():
 
 def test_scaling_reconstruction_along_trajectory():
     u = random_operator(4, 3, 4, 12)
-    opts = FlowOptions(record_states=True, record_scalings=True)
-    _, traj = operator_flow(u, opts=opts)
+    _, traj = operator_flow(u, opts=FlowOptions(record_states=True))
     norm0 = np.sqrt(size_of(u))
-    for state, (x, y) in list(zip(traj.states, traj.scalings))[:: max(1, len(traj.states) // 9)]:
+    for state in traj.states[:: max(1, len(traj.states) // 9)]:
+        x, y = state.transforms
         rebuilt = np.einsum("ab,kbc,cd->kad", x, u.mats, y)
         err = np.sqrt(np.sum((rebuilt - state.obj.mats) ** 2))
         assert err <= 1e-7 * norm0
@@ -180,12 +179,12 @@ def test_matrix_flow_support_preserved():
     assert np.all(final.entries[entries > 0] > 0.0)
 
 
-def test_kappa_ratio_reported_for_diagonal_flows():
+def test_scale_ratio_reported_for_diagonal_flows():
     a = _near_uniform_matrix(3, 5, 14)
     _, traj = matrix_flow(a)
-    assert np.isfinite(traj.kappa_ratio)
-    assert traj.kappa_ratio >= 1.0
     assert traj.scale_max >= traj.scale_min > 0.0
+    ratio = traj.scale_max / traj.scale_min
+    assert np.isfinite(ratio) and ratio >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +457,10 @@ def test_endpoint_recording_keeps_first_and_final_rows(make, flow):
     assert _final_bytes(final_ends) == _final_bytes(final_full)
     assert (ends.status, ends.steps, ends.rejected_err, ends.rejected_delta, ends.evals) == (
         full.status, full.steps, full.rejected_err, full.rejected_delta, full.evals)
-    assert ends.scaling.left.tobytes() == full.scaling.left.tobytes()
-    assert ends.scaling.right.tobytes() == full.scaling.right.tobytes()
-    assert (ends.scaling.left_logdet, ends.scaling.right_logdet) == (
-        full.scaling.left_logdet, full.scaling.right_logdet)
-    np.testing.assert_equal(
-        (ends.kappa_ratio, ends.scale_max, ends.scale_min),
-        (full.kappa_ratio, full.scale_max, full.scale_min))
+    for side_ends, side_full in zip(ends.transforms, full.transforms):
+        assert side_ends.shape == side_full.shape
+        assert side_ends.tobytes() == side_full.tobytes()
+    np.testing.assert_equal((ends.scale_max, ends.scale_min), (full.scale_max, full.scale_min))
 
 
 class _SpikedFrameSystem(_FrameSystem):
@@ -514,6 +510,31 @@ def test_t_max_reported():
     _, traj = matrix_flow(a, target_delta=1e-30, t_max=0.5)
     assert traj.status == "t_max"
     assert traj.t[-1] == pytest.approx(0.5, abs=1e-9)
+
+
+def _end_ratio(traj, target):
+    """(delta/s^2 at the end) / (target/s0^2), which the collapse rule reads."""
+    return (traj.delta[-1] / traj.s[-1] ** 2) / (target / traj.s[0] ** 2)
+
+
+def test_zero_vector_frame_flow_collapses():
+    # a zero vector gives the frame zero capacity: the flow reaches the
+    # default target 1e-12 s0^2 only by shrinking s towards zero
+    vectors = np.random.default_rng(0).standard_normal((6, 3))
+    vectors[0] = 0.0
+    _, traj = frame_flow(Frame(vectors), opts=FlowOptions(record_samples=False))
+    assert traj.status == "collapsed"
+    assert traj.delta[-1] <= 1e-12 * traj.s[0] ** 2
+    assert _end_ratio(traj, 1e-12 * traj.s[0] ** 2) > 1e10
+
+
+def test_tight_example_flow_collapses():
+    # zero capacity: delta reaches a tenth of delta0 while delta/s^2 stays put
+    a = tight_example(2).A
+    target = 0.1 * delta_of(a)
+    _, traj = matrix_flow(a, target_delta=target)
+    assert traj.status == "collapsed"
+    assert _end_ratio(traj, target) == pytest.approx(10.0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from frameflow import paulsen
 from frameflow._jacobi import jacobi_eigh
 from frameflow.capacity import frame_capacity, frame_weight_minimizer, matrix_capacity
 from frameflow.discrete_scaling import operator_sinkhorn
-from frameflow.dynamics import FlowOptions, matrix_flow
+from frameflow.dynamics import FlowError, FlowOptions, matrix_flow
 from frameflow.generate import harmonic_frame, near_parseval_frame, random_frame
 from frameflow.paulsen import (
     PerturbationError,
@@ -233,12 +233,12 @@ def test_diagonalize_does_not_increase_distance(rng):
     for trial in range(100):
         fr = random_frame(3, 6, 1000 + trial)
         u = frame_to_operator(fr)
-        v, pair, report = operator_sinkhorn(u, tol=1e-16)
+        v, (left, right), report = operator_sinkhorn(u, tol=1e-16)
         assert report.converged
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         v_mixed = np.einsum("kmn,nj->kmj", v.mats, q)
-        d_mat = diagonalize_right_scaling(pair.right @ q)
-        v_diag = np.einsum("ab,kbc,cd->kad", pair.left, u.mats, d_mat)
+        d_mat = diagonalize_right_scaling(right @ q)
+        v_diag = np.einsum("ab,kbc,cd->kad", left, u.mats, d_mat)
         from frameflow import OperatorTuple
 
         mixed = OperatorTuple(v_mixed)
@@ -319,6 +319,20 @@ def test_smoothed_downgrades_unbalanced_input():
         v, trace = solve_smoothed(fr, seed=2)
     assert trace.downgraded
     assert is_doubly_stochastic(v, 1e-12)
+
+
+def test_smoothed_error_names_flow_status(monkeypatch):
+    flow = paulsen.frame_flow
+
+    def collapsing(*args, **kwargs):
+        final, traj = flow(*args, **kwargs)
+        traj.status = "collapsed"
+        return final, traj
+
+    monkeypatch.setattr(paulsen, "frame_flow", collapsing)
+    fr, _ = near_parseval_frame(3, 60, 0.01, 9)
+    with pytest.warns(RuntimeWarning), pytest.raises(FlowError, match="'collapsed'"):
+        solve_smoothed(fr, seed=9)
 
 
 def test_smoothed_trace_export():
