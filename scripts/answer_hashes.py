@@ -18,20 +18,27 @@ Groups:
                   frame_to_operator(random_frame(3, n, (s, n))) for
                   n in {6, 9, 12}, s = 0..9 (their right transform is exactly
                   diagonal, so they pin how its log-determinant is taken)
+  zero-check      capacity_zero_check certificates, as json.dumps(...,
+                  sort_keys=True), of tight_example(k) for k = 1..12 and of
+                  200 seeded rectangular supports whose lifts have sides
+                  64-400, half of them with an entry forced into every row
+                  and column
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
 from frameflow import cli
-from frameflow.capacity import tight_example
-from frameflow.core import frame_to_operator, save_json
+from frameflow.capacity import capacity_zero_check, tight_example
+from frameflow.core import NonNegMatrix, frame_to_operator, save_json
 from frameflow.dynamics import (
     frame_flow,
     matrix_flow,
@@ -124,6 +131,21 @@ def capacity_reports(workdir: str) -> list:
     return out
 
 
+def zero_check_certificates() -> list:
+    objs = [tight_example(k).A for k in range(1, 13)]
+    rng = np.random.default_rng(0)
+    while len(objs) < 212:
+        m, n = (int(x) for x in rng.integers(2, 41, 2))
+        if not 64 <= m * n // math.gcd(m, n) <= 400:
+            continue
+        support = rng.random((m, n)) < rng.uniform(0.02, 0.3)
+        if len(objs) % 2:
+            support[np.arange(m), rng.integers(0, n, m)] = True
+            support[rng.integers(0, m, n), np.arange(n)] = True
+        objs.append(NonNegMatrix(support * rng.uniform(0.5, 2.0, (m, n))))
+    return [json.dumps(capacity_zero_check(a), sort_keys=True).encode() for a in objs]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -137,6 +159,7 @@ def main() -> None:
             ("solve-basic", solve_reports("--basic", 12, range(15))),
             ("solve-smoothed", solve_reports("--smoothed", 500, range(2))),
             ("capacity", capacity_reports(workdir)),
+            ("zero-check", zero_check_certificates()),
         ]
     for name, outputs in groups:
         digest = hashlib.sha256(b"".join(outputs)).hexdigest()

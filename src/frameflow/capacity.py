@@ -10,8 +10,10 @@ and for a frame the operator form restricted to diagonal X.  Capacity never
 exceeds the size s, equals it exactly at double balance, and transforms under
 diagonal/determinant-one scalings by explicit factors — which is what the
 scaling-based route exploits.  Capacity is zero exactly when the support has
-no perfect matching (square case; rectangular inputs are tensor-lifted to a
-square first), certified by a Hall-style row/column witness.
+no perfect matching, certified by a Hall-style row/column witness.  For a
+rectangular input that is the support of its tensor lift to a square; the
+lift is built only up to side 63, and a wider one is decided on the input's
+own support by a capacitated matching.
 """
 
 from __future__ import annotations
@@ -148,15 +150,114 @@ _MASK_BITS = 63
 _BIT = 1 << np.arange(_MASK_BITS, dtype=np.int64)
 
 
+def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | None:
+    """The Hall witness of the lift of an m x n support, without the lift.
+
+    `tensor_square` repeats row i as the rows i*row_cap .. i*row_cap+row_cap-1
+    and column j as a block of col_cap columns, with row_cap = n/g and
+    col_cap = m/g.  A perfect matching of the lift is a flow of value
+    m*row_cap on the m x n support in which each row sends row_cap, each
+    column takes col_cap and a supported entry carries any amount; each
+    augmenting path pushes its bottleneck.  The rows reachable from rows
+    with spare capacity in the final residual graph, expanded to their
+    blocks, are the rows that alternating paths reach from the lift's free
+    rows: that set is the same for every maximum matching (Dulmage-
+    Mendelsohn), so it is a union of blocks.  Certificates are those of the
+    lifted route, index for index.
+    """
+    m, n = support.shape
+    side = m * row_cap
+    empty_rows = np.nonzero(~support.any(axis=1))[0]
+    if empty_rows.size:
+        return {"rows": [int(empty_rows[0]) * row_cap], "cols": list(range(side))}
+    empty_cols = np.nonzero(~support.any(axis=0))[0]
+    if empty_cols.size:
+        return {"rows": list(range(side)), "cols": [int(empty_cols[0]) * col_cap]}
+    adj = [np.flatnonzero(row).tolist() for row in support]
+    cadj = [np.flatnonzero(col).tolist() for col in support.T]
+    spare_r = [row_cap] * m
+    spare_c = [col_cap] * n
+    flow = [[0] * n for _ in range(m)]
+    for i in range(m):                  # greedy start
+        for j in adj[i]:
+            t = min(spare_r[i], spare_c[j])
+            flow[i][j] += t
+            spare_r[i] -= t
+            spare_c[j] -= t
+    while True:
+        # one breadth-first search from every row with spare capacity;
+        # via_col[j] is the row that reached column j, via_row[i] the
+        # column that reached row i (-1 for a start row)
+        reached = [r > 0 for r in spare_r]
+        queue = [i for i in range(m) if reached[i]]
+        via_row = [-1] * m
+        via_col = [-1] * n
+        end = -1
+        for i in queue:
+            for j in adj[i]:
+                if via_col[j] != -1:
+                    continue
+                via_col[j] = i
+                if spare_c[j]:
+                    end = j
+                    break
+                for w in cadj[j]:
+                    if flow[w][j] and not reached[w]:
+                        reached[w] = True
+                        via_row[w] = j
+                        queue.append(w)
+            if end != -1:
+                break
+        if end == -1:
+            break
+        t, j = spare_c[end], end
+        while True:
+            i = via_col[j]
+            j = via_row[i]
+            if j == -1:
+                t = min(t, spare_r[i])
+                break
+            t = min(t, flow[i][j])
+        spare_c[end] -= t
+        j = end
+        while True:
+            i = via_col[j]
+            flow[i][j] += t
+            j = via_row[i]
+            if j == -1:
+                spare_r[i] -= t
+                break
+            flow[i][j] -= t
+    # the last search found no spare column, so `queue` holds every row it
+    # reached, and it is empty exactly when the flow is perfect
+    if not queue:
+        return None
+    near = set()
+    for i in queue:
+        near.update(adj[i])
+    return {"rows": [b for i in sorted(queue) for b in range(i * row_cap, (i + 1) * row_cap)],
+            "cols": [b for j in range(n) if j not in near
+                     for b in range(j * col_cap, (j + 1) * col_cap)]}
+
+
 def capacity_zero_check(a: NonNegMatrix) -> dict | None:
     """Return a Hall witness if the capacity is zero, else None.
 
-    Rectangular inputs are tensor-lifted to a square matrix first; witness
-    indices then refer to the lifted object.  Up to side 63 the support is
-    read as one bitmask per row, which gives the empty-line certificates and
-    the adjacency lists without further array work.
+    A rectangular input stands for its tensor lift (`tensor_square`), and
+    witness indices refer to the lifted object.  A lift of side at most 63
+    is built and read like a square input; a larger one is never built, and
+    `_block_witness` finds its witness on the input's own support.  Up to
+    side 63 the support is read as one bitmask per row, which gives the
+    empty-line certificates and the adjacency lists without further array
+    work.
     """
-    work = a if a.m == a.n else tensor_square(a)
+    if a.m == a.n:
+        work = a
+    else:
+        g = math.gcd(a.m, a.n)
+        if a.m * a.n // g > _MASK_BITS:
+            return _block_witness(a.entries > 0.0, a.n // g, a.m // g)
+        work = tensor_square(a)
     n = work.m
     support = work.entries > 0.0
 

@@ -139,7 +139,8 @@ def solve_basic(
     delta_v = delta_of(v)
     if delta_v > 10.0 * final_delta:
         raise FlowError(
-            f"pipeline stopped at delta {delta_v:.3e} > 10*{final_delta:.3e}"
+            f"pipeline stopped at delta {delta_v:.3e} > 10*{final_delta:.3e}; "
+            f"flow ended {traj.status!r}"
         )
     return v, SolveReport(dist(u, v), delta_v, "flow", traj)
 

@@ -213,9 +213,10 @@ def _alternating_witness(support):
 
 
 def test_zero_check_matches_hopcroft_karp_across_sizes(rng):
-    # sides up to 63 take the bitmask route, 64 and up Hopcroft-Karp alone;
-    # one forced entry per row and column rules out the empty-line
-    # certificates, and densities below log(n)/n give both outcomes
+    # sides up to 63 read the support as row bitmasks, 64 and up as arrays,
+    # and both then run Hopcroft-Karp; one forced entry per row and column
+    # rules out the empty-line certificates, and densities below log(n)/n
+    # give both outcomes
     for n in (5, 20, 63, 64):
         outcomes = set()
         for _ in range(40):
@@ -234,14 +235,72 @@ def test_zero_check_matches_hopcroft_karp_across_sizes(rng):
         assert outcomes == {True, False}
 
 
-def test_zero_check_tight_examples():
-    for k in (1, 2, 3):
-        ex = tight_example(k)
-        lifted = tensor_square(ex.A)
-        cert = capacity_zero_check(lifted)
-        assert cert is not None
-        side = lifted.m
-        assert len(cert["rows"]) + len(cert["cols"]) > side
+def _no_lift(a):
+    raise AssertionError("the zero check built a lift")
+
+
+def _lifted_witness(a):
+    """The witness of the materialised lift: an empty line's certificate as
+    the square route gives it, else the alternating witness found by hand."""
+    lifted = tensor_square(a)
+    support = lifted.entries > 0.0
+    if support.any(axis=1).all() and support.any(axis=0).all():
+        return _alternating_witness(support)
+    return capacity_zero_check(lifted)
+
+
+@pytest.mark.parametrize("shape", [(7, 10), (9, 11), (19, 21), (18, 24), (22, 33)])
+def test_zero_check_wide_lift_matches_lifted_witness(shape, rng, monkeypatch):
+    # lifts wider than 63 (sides 70, 99, 399, 72 with g = 6, 66 with g = 11)
+    # are never built: the witness must still equal the lift's, index for
+    # index; densities from sparse to dense give both outcomes, and forced
+    # entries in half the draws rule out the empty-line certificates
+    m, n = shape
+    supports = []
+    for draw in range(12):
+        support = rng.random((m, n)) < rng.uniform(0.02, 0.6)
+        if draw % 2:
+            support[np.arange(m), rng.integers(0, n, m)] = True
+            support[rng.integers(0, m, n), np.arange(n)] = True
+        supports.append(support)
+    for line in range(2):                   # one empty row, one empty column
+        support = rng.random((m, n)) < 0.7
+        if line:
+            support[:, n // 2] = False
+        else:
+            support[m // 3] = False
+        supports.append(support)
+    cases = [NonNegMatrix(s * rng.uniform(0.5, 2.0, (m, n))) for s in supports]
+    expected = [_lifted_witness(a) for a in cases]
+    monkeypatch.setattr("frameflow.capacity.tensor_square", _no_lift)
+    side = m * n // math.gcd(m, n)
+    kinds = set()
+    for a, want in zip(cases, expected):
+        assert capacity_zero_check(a) == want
+        if want is None:
+            kinds.add("perfect")
+        else:
+            assert len(want["rows"]) + len(want["cols"]) > side
+            kinds.add("empty line" if min(len(want["rows"]), len(want["cols"])) == 1
+                      else "witness")
+    assert kinds == {"perfect", "empty line", "witness"}
+    assert expected[-2]["rows"] == [m // 3 * (n // math.gcd(m, n))]
+    assert expected[-1]["cols"] == [n // 2 * (m // math.gcd(m, n))]
+
+
+def test_zero_check_tight_examples(monkeypatch):
+    # each gives its lift's certificate; k <= 4 lifts to a side of at most
+    # 63 and is built, k >= 5 is not
+    cases = [tight_example(k).A for k in range(1, 13)]
+    expected = [_lifted_witness(a) for a in cases]
+    for a, want in zip(cases, expected):
+        assert want is not None
+        assert len(want["rows"]) + len(want["cols"]) > a.m * a.n // math.gcd(a.m, a.n)
+    for a, want in zip(cases[:4], expected[:4]):
+        assert capacity_zero_check(a) == want
+    monkeypatch.setattr("frameflow.capacity.tensor_square", _no_lift)
+    for a, want in zip(cases[4:], expected[4:]):
+        assert capacity_zero_check(a) == want
 
 
 # ---------------------------------------------------------------------------

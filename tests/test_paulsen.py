@@ -80,6 +80,16 @@ def test_basic_degenerate_falls_back():
     assert is_doubly_stochastic(v, 1e-12)
 
 
+def test_basic_error_names_flow_status():
+    # three vectors on one line give zero capacity (3 d = 9 > n = 6) though
+    # the vectors span R^3: the flow collapses and the rescale misses the bound
+    vectors = np.random.default_rng(1).standard_normal((6, 3))
+    vectors[1] = 2.0 * vectors[0]
+    vectors[2] = -0.5 * vectors[0]
+    with pytest.raises(FlowError, match="'collapsed'"):
+        solve_basic(Frame(vectors))
+
+
 # ---------------------------------------------------------------------------
 # perturbation
 
