@@ -23,6 +23,14 @@ Groups:
                   200 seeded rectangular supports whose lifts have sides
                   64-400, half of them with an entry forced into every row
                   and column
+  zero-check-small
+                  capacity_zero_check certificates, as above, of 500 seeded
+                  rectangular supports with m, n <= 7 (lifts of side at most
+                  63), 500 seeded 5x5 patterns, 40 seeded squares of side
+                  64-400 with an entry forced into every row and column, and
+                  the reversed lower triangles of sides 64, 128, 256, 400,
+                  512, 700 and 900, whose only perfect matching is the
+                  anti-diagonal
 """
 
 import argparse
@@ -143,6 +151,31 @@ def zero_check_certificates() -> list:
             support[np.arange(m), rng.integers(0, n, m)] = True
             support[rng.integers(0, m, n), np.arange(n)] = True
         objs.append(NonNegMatrix(support * rng.uniform(0.5, 2.0, (m, n))))
+    return _certificates(objs)
+
+
+def zero_check_small_certificates() -> list:
+    rng = np.random.default_rng(1)
+    objs = []
+    while len(objs) < 500:
+        m, n = (int(x) for x in rng.integers(1, 8, 2))
+        if m != n:
+            support = rng.random((m, n)) < rng.uniform(0.2, 0.95)
+            objs.append(NonNegMatrix(support * rng.uniform(0.5, 2.0, (m, n))))
+    objs += [NonNegMatrix((rng.random((5, 5)) < rng.uniform(0.1, 0.9)).astype(float))
+             for _ in range(500)]
+    for _ in range(40):
+        n = int(rng.integers(64, 401))
+        support = rng.random((n, n)) < rng.uniform(0.0, 1.0) * math.log(n + 1) / n
+        support[np.arange(n), rng.integers(0, n, n)] = True
+        support[rng.integers(0, n, n), np.arange(n)] = True
+        objs.append(NonNegMatrix(support.astype(float)))
+    objs += [NonNegMatrix(np.tril(np.ones((n, n)))[::-1].copy())
+             for n in (64, 128, 256, 400, 512, 700, 900)]
+    return _certificates(objs)
+
+
+def _certificates(objs) -> list:
     return [json.dumps(capacity_zero_check(a), sort_keys=True).encode() for a in objs]
 
 
@@ -160,10 +193,11 @@ def main() -> None:
             ("solve-smoothed", solve_reports("--smoothed", 500, range(2))),
             ("capacity", capacity_reports(workdir)),
             ("zero-check", zero_check_certificates()),
+            ("zero-check-small", zero_check_small_certificates()),
         ]
     for name, outputs in groups:
         digest = hashlib.sha256(b"".join(outputs)).hexdigest()
-        print(f"{name:<15} {len(outputs):>3} {digest}")
+        print(f"{name:<16} {len(outputs):>4} {digest}")
 
 
 if __name__ == "__main__":

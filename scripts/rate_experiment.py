@@ -7,10 +7,10 @@ import argparse
 
 import numpy as np
 
-from frameflow.capacity import matrix_capacity
+from frameflow.capacity import KAPPA_RATE, matrix_capacity
 from frameflow.core import NonNegMatrix, size_of
-from frameflow.dynamics import KAPPA_RATE, STRONG_RATE_DENOM, matrix_flow
-from frameflow.paulsen import capacity_from_rate
+from frameflow.dynamics import matrix_flow
+from frameflow.paulsen import STRONG_RATE_DENOM, capacity_from_rate
 
 
 def main() -> None:

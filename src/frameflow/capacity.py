@@ -12,8 +12,8 @@ diagonal/determinant-one scalings by explicit factors — which is what the
 scaling-based route exploits.  Capacity is zero exactly when the support has
 no perfect matching, certified by a Hall-style row/column witness.  For a
 rectangular input that is the support of its tensor lift to a square; the
-lift is built only up to side 63, and a wider one is decided on the input's
-own support by a capacitated matching.
+zero check lifts the boolean support only up to side 63, and decides a wider
+lift on the input's own support by a capacitated matching.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ import numpy as np
 from ._jacobi import jacobi_eigh
 from .core import Frame, NonNegMatrix, OperatorTuple, delta_of, size_of
 from .discrete_scaling import ScalingError, operator_sinkhorn, sinkhorn
-from .dynamics import KAPPA_RATE
 
 GRAD_TOL = 1e-10
 ARMIJO_C = 1e-4
 NEWTON_MAX_ITERS = 200
 F_ROUNDOFF = 4e-16      # rise of f, relative to its terms, taken as roundoff by _newton
+# constant in the weak-pseudorandom decay bound -ddelta/dt >= alpha n delta * KAPPA_RATE
+KAPPA_RATE = 1.0 / 8192000.0
 
 
 class CapacityError(RuntimeError):
@@ -82,7 +83,9 @@ def _hopcroft_karp(adj: list, nl: int, nr: int):
     """Maximum bipartite matching; returns (match_l, match_r, size, reached).
     The last search finds no free column, so `reached` lists exactly the rows
     reachable by alternating paths from free rows.  Plain lists throughout
-    (`adj` too): numpy element reads cost several times more."""
+    (`adj` too): numpy element reads cost several times more.  The
+    depth-first search keeps its own stack, because an augmenting path can
+    hold more rows than Python's recursion limit allows."""
     INF = nl + nr + 1
     match_l = [-1] * nl
     match_r = [-1] * nr
@@ -109,19 +112,39 @@ def _hopcroft_karp(adj: list, nl: int, nr: int):
                     q.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
+    def augment(root: int) -> bool:
+        # the rows of the search, each with its untried columns, one layer
+        # apart; the column that led to a row is the one it is matched to
+        path = [(root, iter(adj[root]))]
+        while path:
+            u, untried = path[-1]
+            for v in untried:
+                w = match_r[v]
+                if w == -1:
+                    for x, _ in reversed(path):
+                        match_r[v] = x
+                        match_l[x], v = v, match_l[x]
+                    return True
+                if dist[w] == dist[u] + 1:
+                    path.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = INF
+                path.pop()
         return False
 
+    # the first phase, written out: every row sits on layer 0, so each one
+    # takes its first free column
+    for u in range(nl):
+        for v in adj[u]:
+            if match_r[v] == -1:
+                match_l[u] = v
+                match_r[v] = u
+                size += 1
+                break
     while bfs():
         for u in range(nl):
-            if match_l[u] == -1 and dfs(u):
+            if match_l[u] == -1 and augment(u):
                 size += 1
     return match_l, match_r, size, [u for u in range(nl) if dist[u] != INF]
 
@@ -245,21 +268,20 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
 
     A rectangular input stands for its tensor lift (`tensor_square`), and
     witness indices refer to the lifted object.  A lift of side at most 63
-    is built and read like a square input; a larger one is never built, and
-    `_block_witness` finds its witness on the input's own support.  Up to
-    side 63 the support is read as one bitmask per row, which gives the
+    is built from the boolean support, so no entry, however small, drops
+    out of it, and read like a square input; a larger one is never built,
+    and `_block_witness` finds its witness on the input's own support.  Up
+    to side 63 the support is read as one bitmask per row, which gives the
     empty-line certificates and the adjacency lists without further array
     work.
     """
-    if a.m == a.n:
-        work = a
-    else:
+    support = a.entries > 0.0
+    if a.m != a.n:
         g = math.gcd(a.m, a.n)
         if a.m * a.n // g > _MASK_BITS:
-            return _block_witness(a.entries > 0.0, a.n // g, a.m // g)
-        work = tensor_square(a)
-    n = work.m
-    support = work.entries > 0.0
+            return _block_witness(support, a.n // g, a.m // g)
+        support = np.kron(support, np.ones((a.n // g, a.m // g), dtype=bool))
+    n = support.shape[0]
 
     # cheap certificates first
     if n <= _MASK_BITS:

@@ -10,12 +10,14 @@ import csv
 import functools
 import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jacobi import sym_inv_sqrt
 from .capacity import (
+    KAPPA_RATE,
     capacity_bounds,
     capacity_zero_check,
     matrix_capacity,
@@ -37,7 +39,6 @@ from .core import (
 )
 from .dynamics import (
     CSV_HEADER,
-    KAPPA_RATE,
     FlowOptions,
     frame_flow,
     matrix_flow,
@@ -489,11 +490,9 @@ def check_paulsen_perturb_constraints(seed: int = 0) -> CheckResult:
 
 
 def check_paulsen_smoothed_invariants(seed: int = 0) -> CheckResult:
-    import warnings as _w
-
     fr, _ = near_parseval_frame(3, 60, 0.02, (seed, 17))
-    with _w.catch_warnings():
-        _w.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         v, trace = solve_smoothed(fr, seed=seed, final_delta=1e-10)
     base = Frame(fr.vectors * math.sqrt(3.0 / size_of(fr)))
     delta0 = delta_of(base)

@@ -304,9 +304,8 @@ def cmd_capacity(cfg: RunConfig) -> int:
         "converged": res.converged,
     }
     if kind == "matrix":
-        # both routes open with the same zero check (a Hopcroft-Karp run on
-        # the lifted support, most of the cost on large tight examples), and
-        # a zero result reports convex_value 0.0 and gap 0.0 either way
+        # both routes open with the same zero check, and a zero result
+        # reports convex_value 0.0 and gap 0.0 either way
         convex = res if res.method == "zero-detected" else matrix_capacity_convex(obj)
         gap = abs(res.value - convex.value) / max(res.value, convex.value, 1e-300)
         doc.update(convex_value=convex.value, convex_converged=convex.converged,

@@ -32,15 +32,13 @@ A step's samples are handled as one stack: interpolated on the whole grid
 at once, measured in one drift call over K packed states, and recorded
 with one log-determinant call.  Frames are the exception: their drift
 stays written for one state, because it is the hot path of solve, so a
-stack of frames is measured state by state.  Under fixed_step every step
-is accepted and recorded, with no interpolated samples.  Retained samples
-are thinned to at most max_samples by doubling the record stride; once the
-stride is above one, a step's samples keep their first grid and only the
-ones the stride keeps are measured.  With record_samples off, only the
-first and final points are recorded; the integration, its counters and the
-final transforms are the same either way.
-Every accepted step is checked for growth of s and delta, whatever is
-recorded.
+stack of frames is measured state by state.  Retained samples are thinned
+to at most max_samples by doubling the record stride; once the stride is
+above one, a step's samples keep their first grid and only the ones the
+stride keeps are measured.  With record_samples off, only the first and
+final points are recorded; the integration, its counters and the final
+transforms are the same either way.  Every accepted step is checked for
+growth of s, whatever is recorded.
 
 A flow ends "converged" when delta reaches its target, "t_max" when time
 runs out, and "collapsed" when it reaches the target only because s shrank:
@@ -78,15 +76,12 @@ class FlowOptions:
     max_samples: int = 10_000         # retained-sample cap (stride doubling)
     record_samples: bool = True       # False: record only the first and final points
     record_states: bool = False       # keep per-sample FlowState objects
-    fixed_step: float | None = None   # disable adaptivity (diagnostics)
 
     def __post_init__(self):
         if not self.rel_delta_step > 0.0:
             raise ValueError("rel_delta_step must be positive")
         if not 0.0 < self.step_err_tol < math.inf:
             raise ValueError("step_err_tol must be positive and finite")
-        if self.fixed_step is not None and not 0.0 < self.fixed_step < math.inf:
-            raise ValueError("fixed_step must be None or positive and finite")
         if not isinstance(self.max_samples, (int, np.integer)) or self.max_samples < 2:
             raise ValueError("max_samples must be an integer >= 2")
 
@@ -454,8 +449,6 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         fy = system.f(y)
         rate0 = 4.0 * speed2 / delta_cur if delta_cur > 0 else 1.0
         h = min(0.02 / max(rate0, 1e-9), t_max)
-        if opts.fixed_step is not None:
-            h = opts.fixed_step
 
     while status is None:
         h = min(h, t_max - t)
@@ -468,37 +461,34 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         if not np.all(np.isfinite(y_two)):
             raise FlowError(f"non-finite state at t={t:.6g}")
         meas_two = system.measures(y_two)
-        factor = 1.0
-        if opts.fixed_step is None:
-            y_full = _rk4(system, y, fy, h)
-            err = float(np.max(np.abs(y_two - y_full))) / max(1.0, float(np.max(np.abs(y))))
-            factor = max(0.2, min(2.0, 0.9 * (opts.step_err_tol / max(err, 1e-300)) ** 0.2))
-            if err > opts.step_err_tol or meas_two[1] > delta_cur:
-                if err > opts.step_err_tol:
-                    rejected_err += 1
-                else:
-                    rejected_delta += 1
-                h *= min(factor, 0.5)
-                if h < 1e-12 * max(1.0, t):
-                    raise FlowError(f"step size underflow at t={t:.6g}")
-                continue
-        # the recorded rows need not hold every step, so check each one here
-        for i, name in enumerate(("s", "delta")):
-            if meas_two[i] > meas[i] + 1e-12 * max(1.0, abs(meas[i])):
-                raise FlowError(f"{name} increased along the trajectory at t={t:.6g}")
+        y_full = _rk4(system, y, fy, h)
+        err = float(np.max(np.abs(y_two - y_full))) / max(1.0, float(np.max(np.abs(y))))
+        factor = max(0.2, min(2.0, 0.9 * (opts.step_err_tol / max(err, 1e-300)) ** 0.2))
+        if err > opts.step_err_tol or meas_two[1] > delta_cur:
+            if err > opts.step_err_tol:
+                rejected_err += 1
+            else:
+                rejected_delta += 1
+            h *= min(factor, 0.5)
+            if h < 1e-12 * max(1.0, t):
+                raise FlowError(f"step size underflow at t={t:.6g}")
+            continue
+        # a step on which delta grew was rejected above; the recorded rows
+        # need not hold every step, so check s on each one here
+        if meas_two[0] > meas[0] + 1e-12 * max(1.0, abs(meas[0])):
+            raise FlowError(f"s increased along the trajectory at t={t:.6g}")
         f_two = system.f(y_two)
-        if opts.record_samples and opts.fixed_step is None:
+        if opts.record_samples:
             ends = (y, fy, y_half, f_half, y_two, f_two)
             samples = _dense_samples(system, t, h, ends, meas, meas_two,
                                      opts.rel_delta_step, rec.stride)
             if samples is not None:
                 rec.add(system, *samples)
+            rec.add_point(system, t + h, y_two, meas_two)
         y, fy, meas = y_two, f_two, meas_two
         t += h
         delta_cur = meas[1]
         steps += 1
-        if opts.record_samples:
-            rec.add_point(system, t, y, meas)
         scalings = system.diag_scalings(y)
         if scalings is not None:
             scale_max = max(scale_max, float(scalings.max()))
@@ -562,63 +552,3 @@ def matrix_flow(
 ) -> tuple[NonNegMatrix, Trajectory]:
     """Flow the squared-entry matrix (the input IS the squared object)."""
     return _integrate(_MatrixSystem(m0sq), target_delta, t_max, opts or FlowOptions())
-
-
-# ---------------------------------------------------------------------------
-# rate monitoring
-
-
-# constant in the weak-pseudorandom decay bound -ddelta/dt >= alpha n delta * KAPPA_RATE
-KAPPA_RATE = 1.0 / 8192000.0
-STRONG_RATE_DENOM = 32000.0
-PSEUDORANDOM_BETA = 1e-9
-
-
-@dataclass(frozen=True)
-class RateReport:
-    variant: str
-    alpha: float
-    ratios: np.ndarray            # (-dDelta/dt) / bound, per sample
-    precondition_held: np.ndarray  # bool per sample
-    violations: np.ndarray        # indices where the precondition held but ratio < 1
-    ok: bool
-
-
-def rate_monitor(traj: Trajectory, alpha: float, variant: str = "strong") -> RateReport:
-    """Check the decay-rate inequality of a matrix flow sample by sample.
-
-    strong: -ddelta/dt >= alpha m n delta / 32000, requiring every row to
-    have at most n/8000 and every column at most m/8000 entries below alpha.
-    weak: -ddelta/dt >= alpha n delta / 8192000, requiring every column to
-    reach alpha and every row to have at most beta n entries below alpha
-    (beta = PSEUDORANDOM_BETA).  Both preconditions are read from the census
-    of ``paulsen.certify_pseudorandom``, which requires alpha > 0.
-
-    Violations are flagged only at samples where the precondition held,
-    which needs per-sample states (run the flow with record_states=True).
-    """
-    if traj.kind != "matrix":
-        raise ValueError("rate_monitor applies to matrix flows")
-    if traj.states is None:
-        raise ValueError("trajectory has no recorded states; rerun with record_states=True")
-    if variant not in ("strong", "weak"):
-        raise ValueError(f"unknown variant {variant!r}")
-
-    m, n = traj.m, traj.n
-    if variant == "strong":
-        bound = alpha * m * n * traj.delta / STRONG_RATE_DENOM
-    else:
-        bound = alpha * n * traj.delta * KAPPA_RATE
-
-    neg_rate = -traj.dDelta_dt
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bound > 0, neg_rate / np.where(bound > 0, bound, 1.0), np.inf)
-
-    from .paulsen import certify_pseudorandom   # paulsen imports this module
-
-    census = [certify_pseudorandom(st.obj, alpha, PSEUDORANDOM_BETA) for st in traj.states]
-    held = np.array([c.strong_holds if variant == "strong" else c.holds for c in census],
-                    dtype=bool)
-
-    viol = np.nonzero(held & (ratios < 1.0))[0]
-    return RateReport(variant, alpha, ratios, held, viol, bool(viol.size == 0))

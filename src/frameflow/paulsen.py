@@ -7,7 +7,8 @@ squared distance moved is bounded by 100 d^2 n eps for an eps-near input.
 decay rate stays pseudorandom: each iteration perturbs at a variance tied to
 the current imbalance, flows to a third of the halved target, and rescales,
 so the imbalance provably halves per iteration.  The per-entry census behind
-the rate argument lives in ``certify_pseudorandom``, and
+the rate argument lives in ``certify_pseudorandom``, ``rate_monitor`` checks
+a recorded matrix flow against the decay-rate inequalities it licenses, and
 ``capacity_from_rate`` converts an observed exponential decay rate into a
 certified capacity lower bound.
 """
@@ -21,15 +22,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jacobi import sym_sqrt
-from .capacity import capacity_bounds
+from .capacity import KAPPA_RATE, capacity_bounds
 from .core import Frame, NonNegMatrix, delta_of, dist, size_of
 from .dynamics import FlowError, FlowOptions, Trajectory, frame_flow
+from .generate import harmonic_frame
 
 GRAM_SCHMIDT_DROP = 1e-12
 SIGMA2_CAP_FACTOR = 1600.0          # sigma^2 <= 1/(1600 n)
 SIGMA2_NUMERATOR = 1e4              # sigma^2 = 1e4 sqrt(d Delta) / (zeta kappa n)
 MAX_PATH_ITERATIONS = 60
 MAX_RETRIES = 20
+STRONG_RATE_DENOM = 32000.0
+PSEUDORANDOM_BETA = 1e-9
+# the solvers read only the end points of their flows
+SOLVE_FLOW_OPTIONS = FlowOptions(record_samples=False)
 
 
 class PerturbationError(RuntimeError):
@@ -67,6 +73,16 @@ class PseudorandomReport:
     weak_columns: int
 
 
+@dataclass(frozen=True)
+class RateReport:
+    variant: str
+    alpha: float
+    ratios: np.ndarray            # (-dDelta/dt) / bound, per sample
+    precondition_held: np.ndarray  # bool per sample
+    violations: np.ndarray        # indices where the precondition held but ratio < 1
+    ok: bool
+
+
 @dataclass
 class PathTrace:
     """Per-iteration record of the perturb/flow/rescale path."""
@@ -100,17 +116,10 @@ class SolveReport:
 # basic pipeline
 
 
-def _fallback_frame(d: int, n: int) -> Frame:
-    from .generate import harmonic_frame
-
-    return harmonic_frame(d, n)
-
-
 def solve_basic(
     u: Frame,
     final_delta: float = 3e-17,
     t_max: float = 1e6,
-    opts: FlowOptions | None = None,
 ) -> tuple[Frame, SolveReport]:
     """Move a frame to an exactly doubly stochastic one nearby.
 
@@ -118,7 +127,7 @@ def solve_basic(
     the output V satisfies delta(V) <= 10*final_delta.  Degenerate inputs
     (a zero vector, or vectors that do not span) cannot flow to balance, so
     they fall back to a fixed exact frame — correct, with no distance claim.
-    Unless opts says otherwise, the flow records only its end points.
+    The flow records only its end points.
     """
     d, n = u.d, u.n
     s = size_of(u)
@@ -128,12 +137,12 @@ def solve_basic(
         or np.linalg.slogdet(u.gram())[0] <= 0
     )
     if degenerate:
-        v = _fallback_frame(d, n)
+        v = harmonic_frame(d, n)
         return v, SolveReport(dist(u, v), delta_of(v), "fallback", None)
 
     w = Frame(u.vectors * math.sqrt(d / s))
     final, traj = frame_flow(w, target_delta=final_delta, t_max=t_max,
-                             opts=opts or FlowOptions(record_samples=False))
+                             opts=SOLVE_FLOW_OPTIONS)
     s_out = size_of(final)
     v = Frame(final.vectors * math.sqrt(d / s_out))
     delta_v = delta_of(v)
@@ -274,6 +283,44 @@ def certify_pseudorandom(b: NonNegMatrix, alpha: float, beta: float) -> Pseudora
     return PseudorandomReport(alpha, beta, holds, worst_col, worst_row, strong, weak_cols)
 
 
+def rate_monitor(traj: Trajectory, alpha: float, variant: str = "strong") -> RateReport:
+    """Check the decay-rate inequality of a matrix flow sample by sample.
+
+    strong: -ddelta/dt >= alpha m n delta / 32000, requiring every row to
+    have at most n/8000 and every column at most m/8000 entries below alpha.
+    weak: -ddelta/dt >= alpha n delta / 8192000, requiring every column to
+    reach alpha and every row to have at most beta n entries below alpha
+    (beta = PSEUDORANDOM_BETA).  Both preconditions are read from the census
+    of ``certify_pseudorandom``, which requires alpha > 0.
+
+    Violations are flagged only at samples where the precondition held,
+    which needs per-sample states (run the flow with record_states=True).
+    """
+    if traj.kind != "matrix":
+        raise ValueError("rate_monitor applies to matrix flows")
+    if traj.states is None:
+        raise ValueError("trajectory has no recorded states; rerun with record_states=True")
+    if variant not in ("strong", "weak"):
+        raise ValueError(f"unknown variant {variant!r}")
+
+    m, n = traj.m, traj.n
+    if variant == "strong":
+        bound = alpha * m * n * traj.delta / STRONG_RATE_DENOM
+    else:
+        bound = alpha * n * traj.delta * KAPPA_RATE
+
+    neg_rate = -traj.dDelta_dt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bound > 0, neg_rate / np.where(bound > 0, bound, 1.0), np.inf)
+
+    census = [certify_pseudorandom(st.obj, alpha, PSEUDORANDOM_BETA) for st in traj.states]
+    held = np.array([c.strong_holds if variant == "strong" else c.holds for c in census],
+                    dtype=bool)
+
+    viol = np.nonzero(held & (ratios < 1.0))[0]
+    return RateReport(variant, alpha, ratios, held, viol, bool(viol.size == 0))
+
+
 # ---------------------------------------------------------------------------
 # smoothed pipeline
 
@@ -289,7 +336,6 @@ def solve_smoothed(
     final_delta: float = 1e-10,
     seed: int = 0,
     t_max: float = 1e6,
-    opts: FlowOptions | None = None,
 ) -> tuple[Frame, PathTrace]:
     """Perturb/flow/rescale path that halves the imbalance every iteration.
 
@@ -303,8 +349,7 @@ def solve_smoothed(
     The closed-form constants behind the full guarantee need n larger than
     1e15 d^4/(zeta^2 kappa^2); at any feasible size that assumption fails
     and a warning says so — the per-iteration invariants still hold and are
-    what the tests assert.  Unless opts says otherwise, each flow records
-    only its end points.
+    what the tests assert.  Each flow records only its end points.
     """
     d, n = u.d, u.n
     trace = PathTrace(zeta=zeta, kappa=kappa, seed=seed)
@@ -320,7 +365,7 @@ def solve_smoothed(
     cur = _renorm_size(u, d)
     delta0 = delta_of(cur)
     if delta0 > d / 16.0:
-        v, report = solve_basic(u, final_delta=min(final_delta, 3e-17), t_max=t_max, opts=opts)
+        v, report = solve_basic(u, final_delta=min(final_delta, 3e-17), t_max=t_max)
         trace.downgraded = True
         trace.records.append(
             {"l": 0, "delta_before": delta0, "delta_after": report.delta_final}
@@ -361,7 +406,7 @@ def solve_smoothed(
 
         target = delta0 / (3.0 * 2.0**level)
         flowed, traj = frame_flow(perturbed, target_delta=target, t_max=t_max,
-                                  opts=opts or FlowOptions(record_samples=False))
+                                  opts=SOLVE_FLOW_OPTIONS)
         if traj.status != "converged":
             raise FlowError(f"iteration {level}: flow ended {traj.status!r}, not 'converged'")
         nxt = _renorm_size(flowed, d)

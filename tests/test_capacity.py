@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -290,17 +291,45 @@ def test_zero_check_wide_lift_matches_lifted_witness(shape, rng, monkeypatch):
 
 def test_zero_check_tight_examples(monkeypatch):
     # each gives its lift's certificate; k <= 4 lifts to a side of at most
-    # 63 and is built, k >= 5 is not
+    # 63, whose support is built, k >= 5 is not; neither lifts the values
     cases = [tight_example(k).A for k in range(1, 13)]
     expected = [_lifted_witness(a) for a in cases]
+    monkeypatch.setattr("frameflow.capacity.tensor_square", _no_lift)
     for a, want in zip(cases, expected):
         assert want is not None
         assert len(want["rows"]) + len(want["cols"]) > a.m * a.n // math.gcd(a.m, a.n)
-    for a, want in zip(cases[:4], expected[:4]):
         assert capacity_zero_check(a) == want
-    monkeypatch.setattr("frameflow.capacity.tensor_square", _no_lift)
-    for a, want in zip(cases[4:], expected[4:]):
-        assert capacity_zero_check(a) == want
+
+
+def test_zero_check_small_lift_keeps_subnormal_entries():
+    # the value lift scales 5e-324 by g^2/(mn) = 1/6 and rounds it to zero,
+    # which cut the support's only perfect b-matching
+    assert capacity_zero_check(NonNegMatrix([[5e-324, 1.0, 0.0], [0.0, 1.0, 1.0]])) is None
+
+
+def test_zero_check_long_augmenting_paths():
+    # the reversed triangle's only perfect matching is its anti-diagonal;
+    # Hopcroft-Karp reaches it through augmenting paths of hundreds of rows,
+    # more than the recursion limit allows one frame each
+    n = 1100
+    assert capacity_zero_check(NonNegMatrix(np.tril(np.ones((n, n)))[::-1].copy())) is None
+    # a chain: row i holds columns i and i + 1 up to row n - 3, which also
+    # holds column n - 1, and rows n - 2 and n - 1 hold only column 0; the
+    # second search augments along the whole chain, and the last one leaves
+    # a Hall witness of the last two rows
+    support = np.zeros((n, n), dtype=bool)
+    support[np.arange(n - 2), np.arange(n - 2)] = True
+    support[np.arange(n - 2), np.arange(1, n - 1)] = True
+    support[n - 3, n - 1] = True
+    support[n - 2:, 0] = True
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * n)        # the hand-written Kuhn search recurses
+    try:
+        want = _alternating_witness(support)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert want == {"rows": [n - 2, n - 1], "cols": list(range(1, n))}
+    assert capacity_zero_check(NonNegMatrix(support.astype(float))) == want
 
 
 # ---------------------------------------------------------------------------

@@ -361,3 +361,16 @@ def test_package_imports_only_stdlib_and_numpy():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not outside, outside
+
+
+def test_no_module_imports_inside_a_function():
+    # every module states what it depends on at its top, so the import
+    # graph can be read (and kept acyclic) from the module headers alone
+    nested = []
+    for path in sorted(Path(frameflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, nested

@@ -58,10 +58,11 @@ def test_basic_random_input():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_basic_endpoint_recording_gives_the_same_answer(seed):
+def test_basic_endpoint_recording_gives_the_same_answer(seed, monkeypatch):
     fr, _ = near_parseval_frame(3, 12, 0.01, (seed, 0))
     v, report = solve_basic(fr)
-    v_full, report_full = solve_basic(fr, opts=FlowOptions())
+    monkeypatch.setattr(paulsen, "SOLVE_FLOW_OPTIONS", FlowOptions())
+    v_full, report_full = solve_basic(fr)
     assert v.vectors.tobytes() == v_full.vectors.tobytes()
     assert (report.dist, report.delta_final, report.status) == (
         report_full.dist, report_full.delta_final, report_full.status)
@@ -306,8 +307,9 @@ def test_smoothed_endpoint_recording_gives_the_same_answer(seed, monkeypatch):
     with pytest.warns(RuntimeWarning):
         v, trace = solve_smoothed(fr, seed=seed)
     ends, flows[:] = flows[:], []
+    monkeypatch.setattr(paulsen, "SOLVE_FLOW_OPTIONS", FlowOptions())
     with pytest.warns(RuntimeWarning):
-        v_full, trace_full = solve_smoothed(fr, seed=seed, opts=FlowOptions())
+        v_full, trace_full = solve_smoothed(fr, seed=seed)
     assert v.vectors.tobytes() == v_full.vectors.tobytes()
     assert dist(fr, v) == dist(fr, v_full)
     assert trace.records and trace.to_dict() == trace_full.to_dict()
