@@ -18,6 +18,14 @@ Groups:
                   frame_to_operator(random_frame(3, n, (s, n))) for
                   n in {6, 9, 12}, s = 0..9 (their right transform is exactly
                   diagonal, so they pin how its log-determinant is taken)
+  capacity-strata
+                  `capacity` reports of the strata draws of the benchmark's
+                  capacity workload (master seed 171002587): the
+                  criterion-04 matrices j = 0..59 but for j = 6, on which
+                  Sinkhorn runs to its 100000-iteration cap, the
+                  criterion-05 positive 4x4 matrices j = 0..39 and the
+                  criterion-03 near-Parseval 3x12 frames j = 0..29, drawn by
+                  copies of the workload's generators
   zero-check      capacity_zero_check certificates, as json.dumps(...,
                   sort_keys=True), of tight_example(k) for k = 1..12 and of
                   200 seeded rectangular supports whose lifts have sides
@@ -130,13 +138,43 @@ def capacity_reports(workdir: str) -> list:
     objs += [random_matrix(4, 6, s) for s in range(5)]
     objs += [random_operator(4, 3, 5, s) for s in range(5)]
     objs += [frame_to_operator(random_frame(3, n, (s, n))) for n in (6, 9, 12) for s in range(10)]
+    return _capacity_reports(objs, workdir, "capacity")
+
+
+def _capacity_reports(objs, workdir: str, stem: str) -> list:
     out = []
     for i, obj in enumerate(objs):
-        path = os.path.join(workdir, f"capacity-{i}.json")
+        path = os.path.join(workdir, f"{stem}-{i}.json")
         save_json(obj, path)
         rc, report, err = _run(["capacity", "--in", path])
         out.append(f"{rc}\n{report}\n{err}".encode())
     return out
+
+
+STRATA_MASTER = 171002587
+STRATA_DRAWS = (("c04", [j for j in range(60) if j != 6]),
+                ("c05", range(40)),
+                ("frame", range(30)))
+
+
+def strata_input(family: str, j: int):
+    """The j-th seeded draw of a capacity-workload family."""
+    if family == "c04":
+        rng = np.random.default_rng([STRATA_MASTER, 4, j])
+        m, n = rng.integers(1, 7, 2)
+        ent = rng.uniform(0.0, 1.0, (m, n)) ** 2
+        if rng.random() < 0.3:
+            ent *= rng.random((m, n)) < 0.8
+        return NonNegMatrix(ent)
+    if family == "c05":
+        rng = np.random.default_rng([STRATA_MASTER, 5, j])
+        return NonNegMatrix(rng.uniform(0.05, 1.0, (4, 4)))
+    return near_parseval_frame(3, 12, 0.01, (STRATA_MASTER, 3, j))[0]
+
+
+def capacity_strata_reports(workdir: str) -> list:
+    return _capacity_reports([strata_input(family, j) for family, draws in STRATA_DRAWS
+                              for j in draws], workdir, "strata")
 
 
 def zero_check_certificates() -> list:
@@ -192,6 +230,7 @@ def main() -> None:
             ("solve-basic", solve_reports("--basic", 12, range(15))),
             ("solve-smoothed", solve_reports("--smoothed", 500, range(2))),
             ("capacity", capacity_reports(workdir)),
+            ("capacity-strata", capacity_strata_reports(workdir)),
             ("zero-check", zero_check_certificates()),
             ("zero-check-small", zero_check_small_certificates()),
         ]

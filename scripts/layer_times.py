@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Per-layer timings: the median microseconds per call of each layer of the
+capacity and flow code, on fixed seeded inputs.
+
+    PYTHONPATH=src python scripts/layer_times.py [--repeats 21] [--json FILE]
+
+Each row is timed in batches of calls sized to take about 20 ms.  The rows
+take turns, one batch each per repeat, so a drift in machine speed spreads
+over all of them; a row's figure is the median over its repeats.  Rows:
+
+  delta_of frame 12x3     the imbalance of a near-Parseval 3x12 frame
+  delta_of matrix 6x6     the imbalance of a random 6x6 nonnegative matrix
+  eps_nearness frame      the spectral nearness of the same frame
+  jacobi_eigh 3x3         the eigensolver on the frame's Gram matrix
+  frame rhs               one right-hand-side evaluation of the frame flow
+  rk4 step                one RK4 step of the frame flow from a given
+                          derivative (three evaluations; an accepted
+                          step-doubled step costs about three such steps
+                          and two more evaluations)
+  sinkhorn iteration      a 100-iteration Sinkhorn call on a 6x6 matrix with
+                          entries zeroed, per iteration
+  operator-sinkhorn iter  a 20-iteration operator-Sinkhorn call on a 4x3x4
+                          tuple, per iteration
+  newton iteration        one iteration of the convex matrix route on a
+                          positive 4x4 matrix, its first objective evaluation
+                          included
+  zero check 5x5          capacity_zero_check on a 5x5 pattern with a
+                          perfect matching
+  perturb n=500           one perturbation of a near-Parseval 3x500 frame
+  cli parse               what cli.main spends on its arguments before it
+                          dispatches: the parser and the merged config of
+                          `capacity --in X`
+
+The iteration rows divide by the iteration count their call reports, which
+is printed beside them; it should match between two commits compared.
+"""
+
+import argparse
+import json
+import statistics
+import time
+
+import numpy as np
+
+from frameflow import cli
+from frameflow._jacobi import jacobi_eigh
+from frameflow.capacity import _matrix_objective, _newton, capacity_zero_check
+from frameflow.core import NonNegMatrix, delta_of, eps_nearness
+from frameflow.discrete_scaling import operator_sinkhorn, sinkhorn
+from frameflow.dynamics import _FrameSystem, _rk4
+from frameflow.generate import near_parseval_frame, random_matrix, random_operator
+from frameflow.paulsen import perturb
+
+BATCH_S = 0.02
+
+
+def _rows() -> list:
+    """(name, call, iterations per call or None)."""
+    frame = near_parseval_frame(3, 12, 0.01, 7)[0]
+    matrix = random_matrix(6, 6, 7)
+    sparse = NonNegMatrix(matrix.entries * (np.arange(36).reshape(6, 6) % 5 != 0))
+    operator = random_operator(4, 3, 4, 7)
+    positive = NonNegMatrix(np.random.default_rng(7).uniform(0.05, 1.0, (4, 4)))
+    pattern = NonNegMatrix((np.random.default_rng(11).random((5, 5)) < 0.6) | np.eye(5, dtype=bool))
+    wide = near_parseval_frame(3, 500, 0.01, 7)[0]
+    gram = frame.gram()
+    system = _FrameSystem(frame)
+    y0 = system.y0.copy()
+    f0 = system.f(y0)
+    objective = _matrix_objective(positive.entries)
+    argv = ["capacity", "--in", "x.json"]
+
+    def parse():
+        parser = cli._make_parser()
+        return cli._build_config(parser.parse_args(argv), parser)
+
+    sink_iters = sinkhorn(sparse, 0.0, 100)[2].iterations
+    op_iters = operator_sinkhorn(operator, 0.0, 20)[2].iterations
+    newton_iters = _newton(objective, np.zeros(4), 0.0, 1)[3]
+    return [
+        ("delta_of frame 12x3", lambda: delta_of(frame), None),
+        ("delta_of matrix 6x6", lambda: delta_of(matrix), None),
+        ("eps_nearness frame", lambda: eps_nearness(frame), None),
+        ("jacobi_eigh 3x3", lambda: jacobi_eigh(gram), None),
+        ("frame rhs", lambda: system.f(y0), None),
+        ("rk4 step", lambda: _rk4(system, y0, f0, 1e-3), None),
+        ("sinkhorn iteration", lambda: sinkhorn(sparse, 0.0, 100), sink_iters),
+        ("operator-sinkhorn iter", lambda: operator_sinkhorn(operator, 0.0, 20), op_iters),
+        ("newton iteration", lambda: _newton(objective, np.zeros(4), 0.0, 1), newton_iters),
+        ("zero check 5x5", lambda: capacity_zero_check(pattern), None),
+        ("perturb n=500", lambda: perturb(wide, 1e-6, 7), None),
+        ("cli parse", parse, None),
+    ]
+
+
+def _batch_size(call) -> int:
+    calls, start = 0, time.perf_counter()
+    while time.perf_counter() - start < BATCH_S:
+        call()
+        calls += 1
+    return calls
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=21)
+    ap.add_argument("--json", help="also write {row: median us per call} here")
+    args = ap.parse_args()
+
+    rows = _rows()
+    sizes = [_batch_size(call) for _, call, _ in rows]
+    samples = [[] for _ in rows]
+    for _ in range(args.repeats):
+        for (_, call, iters), size, out in zip(rows, sizes, samples):
+            start = time.perf_counter()
+            for _ in range(size):
+                call()
+            out.append((time.perf_counter() - start) / size / (iters or 1) * 1e6)
+
+    medians = {}
+    print(f"{'layer':<24} {'us/call':>9} {'iters':>6}")
+    for (name, _, iters), out in zip(rows, samples):
+        medians[name] = round(statistics.median(out), 3)
+        print(f"{name:<24} {medians[name]:>9.2f} {iters if iters else '':>6}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(medians, fh, indent=1, sort_keys=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -17,13 +17,15 @@ SINGULAR_RTOL = 1e-13
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) with eigenvalues w ascending and eigenvectors in the columns
     of V, so that  a == V @ diag(w) @ V.T  up to roundoff.  Raises
-    ValueError unless a is square, finite and symmetric."""
+    ValueError unless a is square, finite and symmetric: no entry of a - a.T
+    may exceed 1e-10 * (1 + max|a|) in absolute value.  The entries are
+    checked to be finite first, so one max-abs reduction decides this."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix expected, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(a).max(initial=0.0))):
+    if np.abs(a - a.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(a).max(initial=0.0)):
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigh(0.5 * (a + a.T))
 

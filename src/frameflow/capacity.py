@@ -335,7 +335,9 @@ def capacity_bounds(obj) -> tuple[float, float]:
         if m == n:
             lower = max(lower, s - n * root)
         alpha = float(obj.entries.min())
-        if alpha > 0.0 and delta <= 0.1 and abs(s - m) <= 1e-9 * max(1.0, m):
+        # at delta = 0 the lower bound is s already, and the rate bound
+        # would divide 0 by an alpha * n that can underflow to 0
+        if alpha > 0.0 and 0.0 < delta <= 0.1 and abs(s - m) <= 1e-9 * max(1.0, m):
             cols_ok = np.abs(obj.col_sums() - s / n).max() <= 1e-9 * max(1.0, s)
             if cols_ok and alpha >= 80.0 * math.sqrt(m * delta) / (KAPPA_RATE * n):
                 lower = max(lower, s - delta / (5.0 * KAPPA_RATE * alpha * n))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -365,7 +366,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _make_parser() -> _Parser:
+    """The one parser of the process, built on first use and shared by every
+    `main` call after it.  Parsing leaves it unchanged: `parse_args` returns
+    a fresh namespace and `_build_config` only reads `_actions`."""
     parser = _Parser(prog="frameflow", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=_COMMANDS)

@@ -195,12 +195,15 @@ def delta_of(obj: ScalingObject) -> float:
         dr = s * np.eye(n) - n * br
         return float(np.sum(dl * dl) / m + np.sum(dr * dr) / n)
     if isinstance(obj, NonNegMatrix):
-        m, n = obj.m, obj.n
-        r = obj.row_sums()
-        c = obj.col_sums()
-        s = float(obj.entries.sum())
-        return float(np.sum((s - m * r) ** 2) / m + np.sum((s - n * c) ** 2) / n)
+        return _marginal_delta(float(obj.entries.sum()), obj.row_sums(), obj.col_sums(),
+                               obj.m, obj.n)
     raise TypeError(f"unsupported object {type(obj).__name__}")
+
+
+def _marginal_delta(s: float, r: np.ndarray, c: np.ndarray, m: int, n: int) -> float:
+    """delta of an m x n nonnegative matrix from its sum s, row sums r and
+    column sums c, for callers that already hold them (``sinkhorn``)."""
+    return float(np.sum((s - m * r) ** 2) / m + np.sum((s - n * c) ** 2) / n)
 
 
 def measures_of(obj: ScalingObject) -> Measures:

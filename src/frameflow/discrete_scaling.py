@@ -6,13 +6,15 @@ Conventions
 * matrix: a row pass scales every row sum to s/m, a column pass every column
   sum to s/n (s is invariant under both).  One iteration = row pass + column
   pass; convergence is delta(B) <= tol, checked on entry and after each
-  double step.
+  double step, from the sums that the next row pass reuses.
 * operator: odd step V <- L^{-1/2} V with L = sum V_i V_i^T (exact left
   normalization), even step V <- sqrt(m/n) * V R^{-1/2} with R = sum V_i^T V_i
   (exact right Gram, proportional to the identity afterwards).
 * frame: u_i <- S^{-1/2} u_i, then u_i <- sqrt(d/n) * u_i / ||u_i|| — the same
   double step as the operator iteration applied to the frame embedding, so the
   two agree iterate-by-iterate.
+
+A non-finite delta never counts as converged, in any of the three.
 
 Each routine returns (output, (left, right), report): the accumulated
 transforms taking the input to the output, a diagonal side as the 1-D vector
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jacobi import sym_inv_sqrt
-from .core import Frame, NonNegMatrix, OperatorTuple, delta_of
+from .core import Frame, NonNegMatrix, OperatorTuple, _marginal_delta, delta_of
 
 
 class ScalingError(RuntimeError):
@@ -39,6 +41,12 @@ class IterationReport:
     iterations: int
     final_delta: float
     converged: bool
+
+
+def _report(iterations: int, delta: float, tol: float) -> IterationReport:
+    """A non-finite delta (an overflowed sum) never counts as converged, not
+    even against a tol that overflowed too."""
+    return IterationReport(iterations, float(delta), bool(delta <= tol) and math.isfinite(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +63,19 @@ def sinkhorn(
     """
     mat = a.entries.copy()
     m, n = mat.shape
-    if np.any(mat.sum(axis=1) == 0.0):
+    s = mat.sum()
+    r = mat.sum(axis=1)
+    c = mat.sum(axis=0)
+    if np.any(r == 0.0):
         raise ScalingError("zero row: row normalization undefined")
-    if np.any(mat.sum(axis=0) == 0.0):
+    if np.any(c == 0.0):
         raise ScalingError("zero column: column normalization undefined")
 
     x = np.ones(m)
     y = np.ones(n)
-    delta = delta_of(NonNegMatrix(mat))
+    delta = _marginal_delta(float(s), r, c, m, n)
     iterations = 0
     while delta > tol and iterations < max_iters:
-        s = mat.sum()
-        r = mat.sum(axis=1)
         row_scale = (s / m) / r
         mat *= row_scale[:, None]
         x *= row_scale
@@ -78,10 +87,15 @@ def sinkhorn(
         y *= col_scale
 
         iterations += 1
-        delta = delta_of(NonNegMatrix(mat))
+        # the entries stay nonnegative, and NaN propagates through max
+        if not math.isfinite(mat.max()):
+            raise ValueError("entries must be finite")
+        s = mat.sum()
+        r = mat.sum(axis=1)
+        c = mat.sum(axis=0)
+        delta = _marginal_delta(float(s), r, c, m, n)
 
-    report = IterationReport(iterations, float(delta), bool(delta <= tol))
-    return NonNegMatrix(mat), (x, y), report
+    return NonNegMatrix(mat), (x, y), _report(iterations, delta, tol)
 
 
 def operator_sinkhorn(
@@ -121,8 +135,7 @@ def operator_sinkhorn(
         iterations += 1
         delta = delta_of(OperatorTuple(mats))
 
-    report = IterationReport(iterations, float(delta), bool(delta <= tol))
-    return OperatorTuple(mats), (left, right), report
+    return OperatorTuple(mats), (left, right), _report(iterations, delta, tol)
 
 
 def frame_alternating(
@@ -161,5 +174,4 @@ def frame_alternating(
         iterations += 1
         delta = delta_of(Frame(vecs))
 
-    report = IterationReport(iterations, float(delta), bool(delta <= tol))
-    return Frame(vecs), (left, yscale), report
+    return Frame(vecs), (left, yscale), _report(iterations, delta, tol)

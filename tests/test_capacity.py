@@ -511,6 +511,23 @@ def test_bounds_balanced_collapse():
     assert hi == pytest.approx(s, abs=1e-9)
 
 
+def test_bounds_exactly_balanced_with_subnormal_entries():
+    # delta is 0 and alpha * n underflows in the rate bound's denominator
+    a = NonNegMatrix([[5e-324, 1.0], [1.0, 5e-324]])
+    assert capacity_bounds(a) == (2.0, 2.0)
+    res = matrix_capacity(a)
+    assert (res.value, res.lower, res.upper) == (2.0, 2.0, 2.0)
+
+
+def test_overflowing_imbalance_is_bracket_only():
+    # delta and tol * s^2 overflow to inf; the value is only the size
+    a = NonNegMatrix([[1e300, 1e-300, 0.0], [0.0, 1e-300, 1e300], [1.0, 0.0, 1e-300]])
+    with np.errstate(over="ignore"):
+        res = matrix_capacity(a)
+    assert res.method == "bracket-only" and not res.converged
+    assert res.lower <= res.value <= res.upper
+
+
 def test_bounds_contain_value(rng):
     for _ in range(25):
         a = random_matrix(3, 5, int(rng.integers(2**31)))

@@ -18,8 +18,16 @@ import frameflow
 from frameflow import checks
 from frameflow.capacity import tight_example
 from frameflow.cli import RunConfig, main
-from frameflow.core import Frame, eps_nearness, from_dict
+from frameflow.core import Frame, NonNegMatrix, dumps, eps_nearness, from_dict
 from frameflow.dynamics import CSV_HEADER, validation_options
+
+
+def _package_env() -> dict:
+    """The environment of a fresh interpreter that imports this frameflow."""
+    package_root = str(Path(frameflow.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -385,6 +393,21 @@ def test_capacity_matrix_report_carries_convex_flag(tmp_path, capsys):
         assert doc["convex_converged"] is True
 
 
+@pytest.mark.parametrize("entries, method", [
+    ([[5e-324, 1.0], [1.0, 5e-324]], "scaling-based"),
+    ([[1e300, 1e-300, 0.0], [0.0, 1e-300, 1e300], [1.0, 0.0, 1e-300]], "bracket-only"),
+], ids=["balanced-subnormal", "overflowing-delta"])
+def test_capacity_extreme_entries_exit_zero(tmp_path, capsys, entries, method):
+    obj = tmp_path / "mat.json"
+    obj.write_text(dumps(NonNegMatrix(entries)))
+    with np.errstate(over="ignore"):
+        rc, captured = run(capsys, "capacity", "--in", str(obj))
+    assert rc == 0, captured.err
+    doc = json.loads(captured.out)
+    assert doc["method"] == method
+    assert doc["converged"] is (method == "scaling-based")
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -487,6 +510,26 @@ def test_config_file_errors(tmp_path, capsys):
         assert rc == 1 and "unknown config keys" in captured.err
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # main builds its parser once per process; a usage error on it leaves no
+    # trace in the next call, whose stdout matches a fresh process
+    obj = tmp_path / "mat.json"
+    assert main(["gen", "--kind", "matrix", "--m", "4", "--n", "6", "--seed", "3",
+                 "--out", str(obj)]) == 0
+    assert run(capsys, "capacity", "--in", str(obj), "--seed", "1")[0] == 1
+    rc, captured = run(capsys, "capacity", "--in", str(obj))
+    assert rc == 0
+    fresh = subprocess.run([sys.executable, "-m", "frameflow", "capacity", "--in", str(obj)],
+                           env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert captured.out == fresh.stdout
+
+    argv = ["solve", "--basic", "--d", "3", "--n", "8", "--eps", "0.01", "--seed", "4"]
+    first = run(capsys, *argv)[1].out
+    assert run(capsys, *argv, "--bogus")[0] == 1
+    assert run(capsys, *argv)[1].out == first
+
+
 # ---------------------------------------------------------------------------
 # declared entry point
 
@@ -507,9 +550,7 @@ def test_console_script_smoke(tmp_path):
     module, attr = target.split(":")
     wrapper = (f"import sys\nsys.argv[0] = 'frameflow'\n"
                f"from {module} import {attr}\nsys.exit({attr}())")
-    package_root = str(Path(frameflow.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = _package_env()
 
     def frameflow_cmd(*argv):
         return subprocess.run([sys.executable, "-c", wrapper, *argv], cwd=tmp_path,

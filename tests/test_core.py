@@ -259,6 +259,42 @@ def test_eigh_rejects_nonsquare_asymmetric_and_nonfinite(a):
         jacobi_eigh(a)
 
 
+def test_eigh_symmetry_threshold():
+    # asymmetry is allowed up to 1e-10 * (1 + max|a|), here 3e-10
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    inside, outside = a.copy(), a.copy()
+    inside[0, 1] += 0.9 * 3e-10
+    outside[0, 1] += 1.1 * 3e-10
+    w, _ = jacobi_eigh(inside)
+    np.testing.assert_array_equal(w, np.linalg.eigh(0.5 * (inside + inside.T))[0])
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_eigh(outside)
+    w, v = jacobi_eigh(np.zeros((0, 0)))
+    assert w.shape == (0,) and v.shape == (0, 0)
+
+
+def test_eigh_symmetry_verdict_matches_allclose(rng):
+    # the check once read np.allclose(a, a.T, rtol=0, atol=...); perturb one
+    # entry of a symmetric matrix by 0.1 to 10 times the tolerance
+    verdicts = set()
+    for _ in range(1000):
+        n = int(rng.integers(1, 7))
+        b = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        a = b + b.T
+        atol = 1e-10 * (1.0 + np.abs(a).max())
+        i, j = rng.integers(0, n, 2)
+        a[i, j] += rng.choice([-1.0, 1.0]) * atol * 10.0 ** rng.uniform(-1, 1)
+        symmetric = np.allclose(a, a.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(a).max()))
+        try:
+            jacobi_eigh(a)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == symmetric
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
 def test_inv_sqrt_raises_on_rank_deficient_psd(rng):
     b = rng.standard_normal((5, 3))
     with pytest.raises(np.linalg.LinAlgError):

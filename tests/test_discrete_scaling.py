@@ -87,6 +87,69 @@ def test_sinkhorn_logdets_match_transforms():
     assert _logabsdet(y) == pytest.approx(np.linalg.slogdet(np.diag(y))[1], abs=1e-9)
 
 
+def _sinkhorn_reference(a, tol, max_iters):
+    """Sinkhorn as first written: every iterate is copied into a validated
+    NonNegMatrix and its delta taken by delta_of."""
+    mat = a.entries.copy()
+    m, n = mat.shape
+    x, y = np.ones(m), np.ones(n)
+    delta = delta_of(NonNegMatrix(mat))
+    iterations = 0
+    while delta > tol and iterations < max_iters:
+        s = mat.sum()
+        row_scale = (s / m) / mat.sum(axis=1)
+        mat *= row_scale[:, None]
+        x *= row_scale
+        s = mat.sum()
+        col_scale = (s / n) / mat.sum(axis=0)
+        mat *= col_scale[None, :]
+        y *= col_scale
+        iterations += 1
+        delta = delta_of(NonNegMatrix(mat))
+    return mat, x, y, iterations, delta
+
+
+def test_sinkhorn_matches_reference_loop_bit_for_bit():
+    # criterion-04 draws, a third of them with entries zeroed; the draws
+    # whose supports lack total support run to the 2000-iteration cap
+    rng = np.random.default_rng(404)
+    zeroed = capped = 0
+    for _ in range(150):
+        m, n = rng.integers(1, 7, 2)
+        ent = rng.uniform(0.0, 1.0, (m, n)) ** 2
+        if rng.random() < 0.3:
+            ent *= rng.random((m, n)) < 0.8
+        if not (ent.sum(axis=1).all() and ent.sum(axis=0).all()):
+            continue
+        a = NonNegMatrix(ent)
+        tol = 1e-12 * size_of(a) ** 2
+        with np.errstate(over="ignore"):    # the transforms of capped draws overflow
+            b, (x, y), report = sinkhorn(a, tol, 2000)
+            ref_b, ref_x, ref_y, ref_iterations, ref_delta = _sinkhorn_reference(a, tol, 2000)
+        assert b.entries.tobytes() == ref_b.tobytes()
+        assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+        assert (report.iterations, report.final_delta) == (ref_iterations, ref_delta)
+        zeroed += bool((ent == 0.0).any())
+        capped += report.iterations == 2000
+    assert zeroed >= 5 and capped >= 1
+
+
+def test_sinkhorn_raises_on_non_finite_iterate():
+    # the second row sums to 5e-324, so its scale 1/5e-324 overflows and the
+    # first row pass writes inf and 0 * inf = NaN into the matrix
+    a = NonNegMatrix([[1.0, 1.0], [5e-324, 0.0]])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        sinkhorn(a)
+
+
+def test_overflowing_delta_is_not_converged():
+    # delta overflows to inf, as does matrix_capacity's tol * s^2, and inf <= inf
+    a = NonNegMatrix([[1e300, 1e-300, 0.0], [0.0, 1e-300, 1e300], [1.0, 0.0, 1e-300]])
+    with np.errstate(over="ignore"):
+        _, _, report = sinkhorn(a, np.inf)
+    assert report.final_delta == np.inf and not report.converged
+
+
 # ---------------------------------------------------------------------------
 # operator scaling
 
