@@ -26,6 +26,12 @@ Groups:
                   criterion-05 positive 4x4 matrices j = 0..39 and the
                   criterion-03 near-Parseval 3x12 frames j = 0..29, drawn by
                   copies of the workload's generators
+  sinkhorn-capped the bytes of B, x, y, iterations and final delta of
+                  sinkhorn(a, 1e-12 s^2, 5000) on the 20 draws of the
+                  acceptance test's criterion 04 (seed 20260822) whose
+                  capacity is positive but whose support lacks total
+                  support, so that Sinkhorn stops at its cap (picked as the
+                  positive-capacity draws it leaves unconverged)
   zero-check      capacity_zero_check certificates, as json.dumps(...,
                   sort_keys=True), of tight_example(k) for k = 1..12 and of
                   200 seeded rectangular supports whose lifts have sides
@@ -39,6 +45,9 @@ Groups:
                   the reversed lower triangles of sides 64, 128, 256, 400,
                   512, 700 and 900, whose only perfect matching is the
                   anti-diagonal
+
+`group_digests` builds every group and hashes it; `main` prints what it
+returns, and tests/test_answers.py pins it.
 """
 
 import argparse
@@ -54,7 +63,8 @@ import numpy as np
 
 from frameflow import cli
 from frameflow.capacity import capacity_zero_check, tight_example
-from frameflow.core import NonNegMatrix, frame_to_operator, save_json
+from frameflow.core import NonNegMatrix, frame_to_operator, save_json, size_of
+from frameflow.discrete_scaling import sinkhorn
 from frameflow.dynamics import (
     frame_flow,
     matrix_flow,
@@ -177,6 +187,31 @@ def capacity_strata_reports(workdir: str) -> list:
                               for j in draws], workdir, "strata")
 
 
+C04_SEED = 20260822      # the acceptance tests' SEED
+C04_CAP = 5000
+
+
+def sinkhorn_capped() -> list:
+    """Sinkhorn on the criterion-04 draws that have positive capacity but
+    no total support: every one runs to the cap."""
+    rng = np.random.default_rng(C04_SEED)
+    out = []
+    for _ in range(1000):
+        m, n = rng.integers(1, 7, 2)
+        ent = rng.uniform(0.0, 1.0, (m, n)) ** 2
+        if rng.random() < 0.3:
+            ent *= rng.random((m, n)) < 0.8
+        a = NonNegMatrix(ent)
+        if capacity_zero_check(a) is not None:
+            continue
+        with np.errstate(over="ignore"):    # the transforms of these draws overflow
+            b, (x, y), report = sinkhorn(a, 1e-12 * size_of(a) ** 2, C04_CAP)
+        if not report.converged:
+            out.append(b.entries.tobytes() + x.tobytes() + y.tobytes()
+                       + repr((report.iterations, report.final_delta)).encode())
+    return out
+
+
 def zero_check_certificates() -> list:
     objs = [tight_example(k).A for k in range(1, 13)]
     rng = np.random.default_rng(0)
@@ -217,26 +252,32 @@ def _certificates(objs) -> list:
     return [json.dumps(capacity_zero_check(a), sort_keys=True).encode() for a in objs]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seed", type=int, default=1, help="flow-trace workload seed")
-    args = ap.parse_args()
-
+def group_digests(seed: int = 1) -> list:
+    """(name, number of outputs, sha256 of their concatenation) per group,
+    with the flow-trace workload at `seed`."""
     with tempfile.TemporaryDirectory() as workdir:
         groups = [
-            ("flow-trace", flow_trace_csvs(args.seed, workdir)),
+            ("flow-trace", flow_trace_csvs(seed, workdir)),
             ("steering", steering_flows()),
             ("solve-basic", solve_reports("--basic", 12, range(15))),
             ("solve-smoothed", solve_reports("--smoothed", 500, range(2))),
             ("capacity", capacity_reports(workdir)),
             ("capacity-strata", capacity_strata_reports(workdir)),
+            ("sinkhorn-capped", sinkhorn_capped()),
             ("zero-check", zero_check_certificates()),
             ("zero-check-small", zero_check_small_certificates()),
         ]
-    for name, outputs in groups:
-        digest = hashlib.sha256(b"".join(outputs)).hexdigest()
-        print(f"{name:<16} {len(outputs):>4} {digest}")
+    return [(name, len(outputs), hashlib.sha256(b"".join(outputs)).hexdigest())
+            for name, outputs in groups]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, default=1, help="flow-trace workload seed")
+    args = ap.parse_args()
+    for name, count, digest in group_digests(args.seed):
+        print(f"{name:<16} {count:>4} {digest}")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,14 @@ over all of them; a row's figure is the median over its repeats.  Rows:
                           and two more evaluations)
   sinkhorn iteration      a 100-iteration Sinkhorn call on a 6x6 matrix with
                           entries zeroed, per iteration
+  sinkhorn capped iter    a Sinkhorn call on a 4x4 upper-triangular matrix
+                          (positive capacity, no total support, so delta
+                          never reaches 1e-12 s^2) stopped at its
+                          2000-iteration cap, per iteration
   operator-sinkhorn iter  a 20-iteration operator-Sinkhorn call on a 4x3x4
                           tuple, per iteration
+  frame-alternating iter  frame_alternating on a Gaussian 3x12 frame run to
+                          delta <= 1e-21, per iteration
   newton iteration        one iteration of the convex matrix route on a
                           positive 4x4 matrix, its first objective evaluation
                           included
@@ -46,9 +52,9 @@ from frameflow import cli
 from frameflow._jacobi import jacobi_eigh
 from frameflow.capacity import _matrix_objective, _newton, capacity_zero_check
 from frameflow.core import NonNegMatrix, delta_of, eps_nearness
-from frameflow.discrete_scaling import operator_sinkhorn, sinkhorn
+from frameflow.discrete_scaling import frame_alternating, operator_sinkhorn, sinkhorn
 from frameflow.dynamics import _FrameSystem, _rk4
-from frameflow.generate import near_parseval_frame, random_matrix, random_operator
+from frameflow.generate import near_parseval_frame, random_frame, random_matrix, random_operator
 from frameflow.paulsen import perturb
 
 BATCH_S = 0.02
@@ -59,7 +65,10 @@ def _rows() -> list:
     frame = near_parseval_frame(3, 12, 0.01, 7)[0]
     matrix = random_matrix(6, 6, 7)
     sparse = NonNegMatrix(matrix.entries * (np.arange(36).reshape(6, 6) % 5 != 0))
+    triangular = NonNegMatrix(np.triu(random_matrix(4, 4, 7).entries))
+    capped_tol = 1e-12 * triangular.entries.sum() ** 2
     operator = random_operator(4, 3, 4, 7)
+    gaussian = random_frame(3, 12, 7)
     positive = NonNegMatrix(np.random.default_rng(7).uniform(0.05, 1.0, (4, 4)))
     pattern = NonNegMatrix((np.random.default_rng(11).random((5, 5)) < 0.6) | np.eye(5, dtype=bool))
     wide = near_parseval_frame(3, 500, 0.01, 7)[0]
@@ -75,7 +84,9 @@ def _rows() -> list:
         return cli._build_config(parser.parse_args(argv), parser)
 
     sink_iters = sinkhorn(sparse, 0.0, 100)[2].iterations
+    capped_iters = sinkhorn(triangular, capped_tol, 2000)[2].iterations
     op_iters = operator_sinkhorn(operator, 0.0, 20)[2].iterations
+    frame_iters = frame_alternating(gaussian, 1e-21)[2].iterations
     newton_iters = _newton(objective, np.zeros(4), 0.0, 1)[3]
     return [
         ("delta_of frame 12x3", lambda: delta_of(frame), None),
@@ -85,7 +96,9 @@ def _rows() -> list:
         ("frame rhs", lambda: system.f(y0), None),
         ("rk4 step", lambda: _rk4(system, y0, f0, 1e-3), None),
         ("sinkhorn iteration", lambda: sinkhorn(sparse, 0.0, 100), sink_iters),
+        ("sinkhorn capped iter", lambda: sinkhorn(triangular, capped_tol, 2000), capped_iters),
         ("operator-sinkhorn iter", lambda: operator_sinkhorn(operator, 0.0, 20), op_iters),
+        ("frame-alternating iter", lambda: frame_alternating(gaussian, 1e-21), frame_iters),
         ("newton iteration", lambda: _newton(objective, np.zeros(4), 0.0, 1), newton_iters),
         ("zero check 5x5", lambda: capacity_zero_check(pattern), None),
         ("perturb n=500", lambda: perturb(wide, 1e-6, 7), None),

@@ -389,7 +389,7 @@ def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
     gauge = np.full((n, n), 1.0 / n)
     y = y0.copy()
     f, g, h = objective(y)
-    gnorm = float(np.abs(g).max())
+    gnorm = float(np.maximum.reduce(np.abs(g), axis=None))
     iterations = 0
     while gnorm > tol:
         if iterations == max_iters:
@@ -398,20 +398,21 @@ def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
         # infinity along some direction (a support without total support)
         p = np.linalg.lstsq(h + gauge, -g, rcond=None)[0]
         slope = float(g @ p)
-        floor = F_ROUNDOFF * (abs(f) + 1.0 + float(np.abs(y).max()))
+        floor = F_ROUNDOFF * (abs(f) + 1.0 + float(np.maximum.reduce(np.abs(y), axis=None)))
         t = 1.0
         while True:
             trial = y + t * p
             f_new, g_new, h_new = objective(trial)
             if f_new <= f + ARMIJO_C * t * slope:
                 break
-            if t == 1.0 and f_new <= f + floor and float(np.abs(g_new).max()) < gnorm:
+            if (t == 1.0 and f_new <= f + floor
+                    and float(np.maximum.reduce(np.abs(g_new), axis=None)) < gnorm):
                 break
             t *= 0.5
             if t < 1e-18:
                 return y, f, False, iterations
         y, f, g, h = trial, f_new, g_new, h_new
-        gnorm = float(np.abs(g).max())
+        gnorm = float(np.maximum.reduce(np.abs(g), axis=None))
         iterations += 1
     return y, f, True, iterations
 
@@ -428,11 +429,12 @@ def _matrix_objective(mat: np.ndarray):
     def objective(y):
         w = np.exp(y)
         rows = mat @ w
-        if np.any(rows <= 0.0) or not np.all(np.isfinite(rows)):
+        if (rows <= 0.0).any() or not np.isfinite(rows).all():
             return math.inf, None, None
-        f = logm + float(np.log(rows).sum()) / m - float(y.sum()) / n
+        f = (logm + float(np.add.reduce(np.log(rows), axis=None)) / m
+             - float(np.add.reduce(y, axis=None)) / n)
         p = mat * w / rows[:, None]
-        col = p.sum(axis=0)
+        col = np.add.reduce(p, axis=0)
         return f, col / m - 1.0 / n, (np.diag(col) - p.T @ p) / m
 
     return objective

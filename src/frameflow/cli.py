@@ -185,8 +185,24 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump_report(doc: dict) -> str:
+    """The report as strict JSON.  JSON has no token for a non-finite float,
+    so a report holding one (an overflowed measure) is dumped again with
+    each such value as null; a finite report is dumped once."""
     doc.setdefault("schema_version", SCHEMA_VERSION)
-    return json.dumps(doc, sort_keys=True)
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite_or_null(doc), sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def _load_object(cfg: RunConfig):

@@ -176,34 +176,41 @@ def size_of(obj: ScalingObject) -> float:
 
 
 def delta_of(obj: ScalingObject) -> float:
-    """Imbalance measure; 0 exactly at double balance, scales as c^4."""
+    """Imbalance measure; 0 exactly at double balance, scales as c^4.
+
+    delta is the sum of two nonnegative halves, one per side, each either a
+    Gram half |s I - k G|^2 / k (a k x k Gram matrix G) or a marginal half
+    |s - k sums|^2 / k (k sums): left and right Gram for an operator tuple,
+    frame Gram and vector norms^2 for a frame, row and column sums for a
+    nonnegative matrix.  The scaling loops take the halves one at a time.
+    """
     if isinstance(obj, Frame):
         v = obj.vectors
-        d, n = obj.d, obj.n
         gram = v.T @ v
         s = float(np.trace(gram))
-        norms2 = np.einsum("nd,nd->n", v, v)
-        left = s * np.eye(d) - d * gram
-        right = s - n * norms2
-        return float(np.sum(left * left) / d + np.sum(right * right) / n)
+        return float(_gram_half(s, gram, obj.d)
+                     + _marginal_half(s, np.einsum("nd,nd->n", v, v), obj.n))
     if isinstance(obj, OperatorTuple):
-        m, n = obj.m, obj.n
         bl = obj.left_gram()
-        br = obj.right_gram()
         s = float(np.trace(bl))
-        dl = s * np.eye(m) - m * bl
-        dr = s * np.eye(n) - n * br
-        return float(np.sum(dl * dl) / m + np.sum(dr * dr) / n)
+        return float(_gram_half(s, bl, obj.m) + _gram_half(s, obj.right_gram(), obj.n))
     if isinstance(obj, NonNegMatrix):
-        return _marginal_delta(float(obj.entries.sum()), obj.row_sums(), obj.col_sums(),
-                               obj.m, obj.n)
+        s = float(obj.entries.sum())
+        return float(_marginal_half(s, obj.row_sums(), obj.m)
+                     + _marginal_half(s, obj.col_sums(), obj.n))
     raise TypeError(f"unsupported object {type(obj).__name__}")
 
 
-def _marginal_delta(s: float, r: np.ndarray, c: np.ndarray, m: int, n: int) -> float:
-    """delta of an m x n nonnegative matrix from its sum s, row sums r and
-    column sums c, for callers that already hold them (``sinkhorn``)."""
-    return float(np.sum((s - m * r) ** 2) / m + np.sum((s - n * c) ** 2) / n)
+def _marginal_half(s: float, sums: np.ndarray, k: int):
+    """|s - k sums|^2 / k: one side's half of delta from its k sums."""
+    dev = s - k * sums
+    return np.add.reduce(dev * dev, axis=None) / k
+
+
+def _gram_half(s: float, gram: np.ndarray, k: int):
+    """|s I - k G|^2 / k: one side's half of delta from its k x k Gram."""
+    dev = s * np.eye(k) - k * gram
+    return np.add.reduce(dev * dev, axis=None) / k
 
 
 def measures_of(obj: ScalingObject) -> Measures:

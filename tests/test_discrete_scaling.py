@@ -6,11 +6,14 @@ import pytest
 from frameflow import (
     Frame,
     NonNegMatrix,
+    OperatorTuple,
     delta_of,
     dist,
     frame_to_operator,
     size_of,
 )
+from frameflow import discrete_scaling
+from frameflow._jacobi import sym_inv_sqrt
 from frameflow.capacity import _logabsdet, matrix_capacity, tight_example
 from frameflow.dynamics import FlowOptions, frame_flow
 from frameflow.discrete_scaling import (
@@ -19,7 +22,13 @@ from frameflow.discrete_scaling import (
     operator_sinkhorn,
     sinkhorn,
 )
-from frameflow.generate import harmonic_frame, near_parseval_frame, random_frame, random_matrix
+from frameflow.generate import (
+    harmonic_frame,
+    near_parseval_frame,
+    random_frame,
+    random_matrix,
+    random_operator,
+)
 
 
 def test_sinkhorn_fixed_point():
@@ -134,6 +143,21 @@ def test_sinkhorn_matches_reference_loop_bit_for_bit():
     assert zeroed >= 5 and capped >= 1
 
 
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_sinkhorn_stopped_at_the_cap_reports_the_whole_delta(max_iters):
+    # at tol 0 the row half alone exceeds tol, so the loop never takes the
+    # column half until it stops at the cap
+    rng = np.random.default_rng(max_iters)
+    for _ in range(20):
+        a = NonNegMatrix(rng.uniform(0.05, 1.0, tuple(rng.integers(1, 7, 2))))
+        b, (x, y), report = sinkhorn(a, 0.0, max_iters)
+        ref_b, ref_x, ref_y, ref_iterations, ref_delta = _sinkhorn_reference(a, 0.0, max_iters)
+        assert b.entries.tobytes() == ref_b.tobytes()
+        assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+        assert (report.iterations, report.final_delta) == (ref_iterations, ref_delta)
+        assert report.final_delta == delta_of(b)
+
+
 def test_sinkhorn_raises_on_non_finite_iterate():
     # the second row sums to 5e-324, so its scale 1/5e-324 overflows and the
     # first row pass writes inf and 0 * inf = NaN into the matrix
@@ -182,6 +206,106 @@ def test_operator_matches_frame_alternating(seed):
     g, _, _ = frame_alternating(fr, tol=1e-16)
     v, _, _ = operator_sinkhorn(frame_to_operator(fr), tol=1e-16)
     assert dist(frame_to_operator(g), v) <= 1e-10
+
+
+def _operator_sinkhorn_reference(u, tol, max_iters):
+    """Operator Sinkhorn as first written: every iterate is copied into a
+    validated OperatorTuple and its delta taken by delta_of."""
+    mats = u.mats.copy()
+    m, n = u.m, u.n
+    left, right = np.eye(m), np.eye(n)
+    rescale = np.sqrt(m / n)
+    delta = delta_of(OperatorTuple(mats))
+    iterations = 0
+    while delta > tol and iterations < max_iters:
+        li = sym_inv_sqrt(np.einsum("kmn,kln->ml", mats, mats))
+        mats = np.matmul(li, mats)
+        left = li @ left
+        ri = sym_inv_sqrt(np.einsum("kmi,kmj->ij", mats, mats))
+        mats = rescale * np.matmul(mats, ri)
+        right = right @ (rescale * ri)
+        iterations += 1
+        delta = delta_of(OperatorTuple(mats))
+    return mats, left, right, iterations, delta
+
+
+def _frame_alternating_reference(f, tol, max_iters):
+    """The frame iteration as first written: every iterate is copied into a
+    validated Frame and its delta taken by delta_of."""
+    vecs = f.vectors.copy()
+    left, yscale = np.eye(f.d), np.ones(f.n)
+    target_norm = np.sqrt(f.d / f.n)
+    delta = delta_of(Frame(vecs))
+    iterations = 0
+    while delta > tol and iterations < max_iters:
+        si = sym_inv_sqrt(vecs.T @ vecs)
+        vecs = vecs @ si
+        left = si @ left
+        step_scale = target_norm / np.sqrt(np.einsum("nd,nd->n", vecs, vecs))
+        vecs = vecs * step_scale[:, None]
+        yscale *= step_scale
+        iterations += 1
+        delta = delta_of(Frame(vecs))
+    return vecs, left, yscale, iterations, delta
+
+
+# (tol as a multiple of s^2, max_iters): converged runs, and runs stopped at
+# the cap before the whole delta of their last iterate was needed
+_REFERENCE_SETTINGS = [(1e-12, 100_000), (1e-24, 100_000), (1e-30, 40),
+                       (0.0, 1), (0.0, 2), (0.0, 3)]
+
+
+@pytest.mark.parametrize("rel_tol, max_iters", _REFERENCE_SETTINGS)
+def test_operator_sinkhorn_matches_reference_loop_bit_for_bit(rel_tol, max_iters):
+    # Gaussian tuples with k >= 2 and m, n in 2..4, whose capacity is positive
+    draws = [random_operator(k, m, n, (17, k, m, n))
+             for k in (2, 3, 5) for m in (2, 4) for n in (2, 3, 4)]
+    draws += [frame_to_operator(random_frame(3, n, (17, n))) for n in (4, 7, 10)]
+    capped = 0
+    for u in draws:
+        tol = rel_tol * size_of(u) ** 2
+        try:
+            ref = _operator_sinkhorn_reference(u, tol, max_iters)
+        except np.linalg.LinAlgError:
+            with pytest.raises(ScalingError):
+                operator_sinkhorn(u, tol, max_iters)
+            continue
+        v, (left, right), report = operator_sinkhorn(u, tol, max_iters)
+        ref_mats, ref_left, ref_right, ref_iterations, ref_delta = ref
+        assert v.mats.tobytes() == ref_mats.tobytes()
+        assert left.tobytes() == ref_left.tobytes() and right.tobytes() == ref_right.tobytes()
+        assert (report.iterations, report.final_delta) == (ref_iterations, ref_delta)
+        assert report.converged or max_iters < 100_000
+        capped += report.iterations == max_iters
+    assert max_iters == 100_000 or capped >= len(draws) - 2
+
+
+@pytest.mark.parametrize("rel_tol, max_iters", _REFERENCE_SETTINGS)
+def test_frame_alternating_matches_reference_loop_bit_for_bit(rel_tol, max_iters):
+    draws = [random_frame(d, n, (23, d, n)) for d in (2, 3, 4) for n in (5, 8, 12)]
+    draws += [near_parseval_frame(3, 12, 0.01, (23, i))[0] for i in range(8)]
+    capped = 0
+    for f in draws:
+        tol = rel_tol * size_of(f) ** 2
+        g, (left, yscale), report = frame_alternating(f, tol, max_iters)
+        ref_vecs, ref_left, ref_yscale, ref_iterations, ref_delta = (
+            _frame_alternating_reference(f, tol, max_iters))
+        assert g.vectors.tobytes() == ref_vecs.tobytes()
+        assert left.tobytes() == ref_left.tobytes() and yscale.tobytes() == ref_yscale.tobytes()
+        assert (report.iterations, report.final_delta) == (ref_iterations, ref_delta)
+        assert report.converged or max_iters < 100_000
+        capped += report.iterations == max_iters
+    assert max_iters == 100_000 or capped >= len(draws) - 2
+
+
+def test_non_finite_iterates_still_raise(monkeypatch):
+    # a step that writes NaN into the iterate (here a stubbed inverse square
+    # root) raises the message the validated per-iterate copy used to raise
+    monkeypatch.setattr(discrete_scaling, "sym_inv_sqrt", lambda g: np.full(g.shape, np.nan))
+    with pytest.raises(ValueError, match="mats must be finite"):
+        operator_sinkhorn(random_operator(3, 2, 4, 5))
+    with pytest.raises(ValueError, match="vectors must be finite"):
+        frame_alternating(random_frame(3, 7, 5))
 
 
 def test_operator_sinkhorn_singular_gram_raises():
