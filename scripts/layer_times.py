@@ -14,9 +14,14 @@ over all of them; a row's figure is the median over its repeats.  Rows:
   jacobi_eigh 3x3         the eigensolver on the frame's Gram matrix
   frame rhs               one right-hand-side evaluation of the frame flow
   rk4 step                one RK4 step of the frame flow from a given
-                          derivative (three evaluations; an accepted
-                          step-doubled step costs about three such steps
-                          and two more evaluations)
+                          derivative (three evaluations, one state each;
+                          a double step takes one for its second half step)
+  double step 3x12        one step-doubled attempt of the same frame flow:
+                          the first half step and the full step as stacks
+                          of two states, the midpoint derivative and the
+                          second half step (seven drift calls; an attempt
+                          adds one more at its end)
+  double step 3x500       the same on a near-Parseval 3x500 frame
   sinkhorn iteration      a 100-iteration Sinkhorn call on a 6x6 matrix with
                           entries zeroed, per iteration
   sinkhorn capped iter    a Sinkhorn call on a 4x4 upper-triangular matrix
@@ -53,7 +58,7 @@ from frameflow._jacobi import jacobi_eigh
 from frameflow.capacity import _matrix_objective, _newton, capacity_zero_check
 from frameflow.core import NonNegMatrix, delta_of, eps_nearness
 from frameflow.discrete_scaling import frame_alternating, operator_sinkhorn, sinkhorn
-from frameflow.dynamics import _FrameSystem, _rk4
+from frameflow.dynamics import _FrameSystem, _double_step, _rk4
 from frameflow.generate import near_parseval_frame, random_frame, random_matrix, random_operator
 from frameflow.paulsen import perturb
 
@@ -76,6 +81,9 @@ def _rows() -> list:
     system = _FrameSystem(frame)
     y0 = system.y0.copy()
     f0 = system.f(y0)
+    wide_system = _FrameSystem(wide)
+    wide_y0 = wide_system.y0.copy()
+    wide_f0 = wide_system.f(wide_y0)
     objective = _matrix_objective(positive.entries)
     argv = ["capacity", "--in", "x.json"]
 
@@ -95,6 +103,8 @@ def _rows() -> list:
         ("jacobi_eigh 3x3", lambda: jacobi_eigh(gram), None),
         ("frame rhs", lambda: system.f(y0), None),
         ("rk4 step", lambda: _rk4(system, y0, f0, 1e-3), None),
+        ("double step 3x12", lambda: _double_step(system, y0, f0, 1e-3), None),
+        ("double step 3x500", lambda: _double_step(wide_system, wide_y0, wide_f0, 1e-3), None),
         ("sinkhorn iteration", lambda: sinkhorn(sparse, 0.0, 100), sink_iters),
         ("sinkhorn capped iter", lambda: sinkhorn(triangular, capped_tol, 2000), capped_iters),
         ("operator-sinkhorn iter", lambda: operator_sinkhorn(operator, 0.0, 20), op_iters),

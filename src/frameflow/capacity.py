@@ -354,6 +354,17 @@ def capacity_bounds(obj) -> tuple[float, float]:
 # matrix capacity, two independent routes
 
 
+def _scaling_result(value: float, lower: float, upper: float, report) -> CapacityResult:
+    """A scaling route's result: its point estimate clamped at the size
+    upper, since capacity never exceeds size.  Transforms that overflowed
+    leave a non-finite estimate, which min would keep as NaN; it says
+    nothing, so the value falls back to upper, unconverged."""
+    converged = report.converged and math.isfinite(value)
+    value = min(value, upper) if math.isfinite(value) else upper
+    method = "scaling-based" if converged else "bracket-only"
+    return CapacityResult(value, method, None, lower, upper, converged, report.iterations)
+
+
 def matrix_capacity(a: NonNegMatrix, tol: float = 1e-12, max_iters: int = 100_000) -> CapacityResult:
     """Scaling route: balance with sinkhorn to delta <= tol * s^2, then undo
     the diagonal scalings; at balance the capacity equals the size, so the
@@ -366,9 +377,7 @@ def matrix_capacity(a: NonNegMatrix, tol: float = 1e-12, max_iters: int = 100_00
     lower, upper = capacity_bounds(a)
     b, (x, y), report = sinkhorn(a, tol * s_in * s_in, max_iters)
     value = size_of(b) * math.exp(-_logabsdet(x) / a.m - _logabsdet(y) / a.n)
-    value = min(value, s_in)
-    method = "scaling-based" if report.converged else "bracket-only"
-    return CapacityResult(value, method, None, lower, upper, report.converged, report.iterations)
+    return _scaling_result(value, lower, upper, report)
 
 
 def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
@@ -524,9 +533,7 @@ def operator_capacity(u: OperatorTuple, tol: float = 1e-12, max_iters: int = 100
     except ScalingError as exc:
         return CapacityResult(0.0, "zero-detected", {"reason": str(exc)}, 0.0, 0.0)
     value = size_of(v) * math.exp(-2.0 * _logabsdet(left) / u.m - 2.0 * _logabsdet(right) / u.n)
-    value = min(value, s_in)
-    method = "scaling-based" if report.converged else "bracket-only"
-    return CapacityResult(value, method, None, lower, upper, report.converged, report.iterations)
+    return _scaling_result(value, lower, upper, report)
 
 
 def _embedded_frame(u: OperatorTuple) -> Frame | None:

@@ -28,17 +28,20 @@ alone then sets the next step.  Sampling never steers the integration:
 between two accepted steps, the recorded samples come from cubic Hermite
 interpolation on each half step (dense output), on a uniform time grid fine
 enough that consecutive samples differ in delta by at most rel_delta_step.
-A step's samples are handled as one stack: interpolated on the whole grid
-at once, measured in one drift call over K packed states, and recorded
-with one log-determinant call.  Frames are the exception: their drift
-stays written for one state, because it is the hot path of solve, so a
-stack of frames is measured state by state.  Retained samples are thinned
-to at most max_samples by doubling the record stride; once the stride is
-above one, a step's samples keep their first grid and only the ones the
-stride keeps are measured.  With record_samples off, only the first and
-final points are recorded; the integration, its counters and the final
-transforms are the same either way.  Every accepted step is checked for
-growth of s, whatever is recorded.
+Every drift is written for any number of leading axes, so one call
+evaluates a stack of packed states.  A step attempt runs its first half
+step and its full step, which start from the same state and derivative,
+side by side as a stack of two, and takes the drift at the step's end
+once: the accept test reads its measures and the next step its
+right-hand side.  A step's samples are handled as one stack too:
+interpolated on the whole grid at once, measured in one drift call over K
+packed states, and recorded with one log-determinant call.  Retained
+samples are thinned to at most max_samples by doubling the record stride;
+once the stride is above one, a step's samples keep their first grid and
+only the ones the stride keeps are measured.  With record_samples off,
+only the first and final points are recorded; the integration, its
+counters and the final transforms are the same either way.  Every
+accepted step is checked for growth of s, whatever is recorded.
 
 A flow ends "converged" when delta reaches its target, "t_max" when time
 runs out, and "collapsed" when it reaches the target only because s shrank:
@@ -164,7 +167,7 @@ class _System:
     of the flowed object.  A system sets m, n, k and kind, then calls
     __init__; it supplies drift and obj.  Packed states may carry leading
     axes (a stack of K states is K x len(y)); drift is written for any
-    number of them, the frame's excepted, so one call measures a stack."""
+    number of them, so one call evaluates a stack."""
 
     evals = 0
 
@@ -190,37 +193,45 @@ class _System:
                 yy.reshape(lead + (self.n, self.n)) if self.dense[1] else yy)
 
     def state_rate(self, v):
-        """Derivative of the packed state, given the velocity V."""
-        return v.ravel()
+        """Derivative of the packed state, given the velocity V flattened
+        over its trailing axes."""
+        return v
 
-    def f(self, y):
-        """Right-hand side, counted."""
-        self.evals += 1
-        _, left, right, v, speed2 = self.drift(self._state(y))
+    def f(self, y, drift=None):
+        """Right-hand side over the leading axes of y, counted once per
+        state; drift, if given, is the drift of y already computed."""
+        lead = y.shape[:-1]
+        self.evals += math.prod(lead)
+        _, left, right, v, speed2 = self.drift(self._state(y)) if drift is None else drift
         x, yy = self._sides(y)
         if self.dense[0]:
             left = left @ x
         if self.dense[1]:
             right = yy @ right
-        return np.concatenate([self.state_rate(v), left.ravel(), right.ravel(),
-                               [math.sqrt(speed2)]])
+        out = np.empty(y.shape)
+        out[..., : self.sl_u] = self.state_rate(v.reshape(lead + (-1,)))
+        out[..., self.sl_u: self.sl_x] = left.reshape(lead + (-1,))
+        out[..., self.sl_x: self.sl_y] = right.reshape(lead + (-1,))
+        out[..., -1] = np.sqrt(speed2)
+        return out
 
-    def _measures(self, y):
-        """(s, delta, speed2) over the leading axes of y, with
+    def _measures(self, drift):
+        """(s, delta, speed2) over the leading axes of a drift, with
         delta = |L|^2 / m + |R|^2 / n."""
-        s, left, right, _, speed2 = self.drift(self._state(y))
+        s, left, right, _, speed2 = drift
         sq = [(side * side).sum(axis=(-2, -1) if dense else -1)
               for side, dense in zip((left, right), self.dense)]
         return s, sq[0] / self.m + sq[1] / self.n, speed2
 
-    def measures(self, y):
-        """(s, delta, speed2) of one packed state, as floats."""
-        s, delta, speed2 = self._measures(y)
+    def measures(self, y, drift=None):
+        """(s, delta, speed2) of one packed state, as floats; drift, if
+        given, is the drift of y already computed."""
+        s, delta, speed2 = self._measures(self.drift(self._state(y)) if drift is None else drift)
         return float(s), float(delta), float(speed2)
 
     def measures_stack(self, ys):
         """(s, delta, speed2) of each state in the stack ys, as three arrays."""
-        return self._measures(ys)
+        return self._measures(self.drift(self._state(ys)))
 
     def logdets(self, y):
         """log|det| of the left and right transforms, over the leading axes of y."""
@@ -270,17 +281,12 @@ class _FrameSystem(_System):
         super().__init__(fr.vectors, True, False)
 
     def drift(self, u):
-        norms2 = np.einsum("nd,nd->n", u, u)
-        s = float(norms2.sum())
-        c = s * self.eye_d - self.d * (u.T @ u)
-        w = s - self.n * norms2
-        du = u @ c + w[:, None] * u
-        return s, c, w, du, float(np.einsum("nd,nd->", du, du))
-
-    # drift and f stay written for one state: they are the hot path of
-    # solve, and the stack-generic form cost them about a tenth per call
-    def measures_stack(self, ys):
-        return np.array([self.measures(y) for y in ys]).T
+        norms2 = np.einsum("...nd,...nd->...n", u, u)
+        s = norms2.sum(axis=-1)
+        c = s[..., None, None] * self.eye_d - self.d * (np.swapaxes(u, -1, -2) @ u)
+        w = s[..., None] - self.n * norms2
+        du = u @ c + w[..., None] * u
+        return s, c, w, du, np.einsum("...nd,...nd->...", du, du)
 
     def obj(self, y):
         return Frame(self._state(y).copy())
@@ -316,7 +322,7 @@ class _MatrixSystem(_System):
                 np.sum(rate * rate * mm, axis=(-2, -1)))
 
     def state_rate(self, v):
-        return 2.0 * v.ravel()[self.support]
+        return 2.0 * v[..., self.support]
 
     def obj(self, y):
         return NonNegMatrix(self._mat(self._state(y)))
@@ -332,6 +338,22 @@ def _rk4(system, y, k1, h):
     k3 = system.f(y + 0.5 * h * k2)
     k4 = system.f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _double_step(system, y, fy, h):
+    """Step doubling from y, whose derivative fy the caller supplies: two
+    RK4 half steps and one full step, as (y_half, f_half, y_two, y_full).
+    The first half step and the full step both start from y and fy, so they
+    run as one stack of two states, each row with the coefficients _rk4
+    forms for its own step; the answers are those of three _rk4 calls."""
+    half = 0.5 * h
+    a = np.array([[0.5 * half], [0.5 * h]])
+    k2 = system.f(y + a * fy)
+    k3 = system.f(y + a * k2)
+    k4 = system.f(y + np.array([[half], [h]]) * k3)
+    y_half, y_full = y + np.array([[half / 6.0], [h / 6.0]]) * (fy + 2.0 * k2 + 2.0 * k3 + k4)
+    f_half = system.f(y_half)
+    return y_half, f_half, _rk4(system, y_half, f_half, half), y_full
 
 
 def _hermite(th, h, ya, fa, yb, fb):
@@ -455,13 +477,11 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         if h <= 0.0:
             status = "t_max"
             break
-        y_half = _rk4(system, y, fy, 0.5 * h)
-        f_half = system.f(y_half)
-        y_two = _rk4(system, y_half, f_half, 0.5 * h)
+        y_half, f_half, y_two, y_full = _double_step(system, y, fy, h)
         if not np.all(np.isfinite(y_two)):
             raise FlowError(f"non-finite state at t={t:.6g}")
-        meas_two = system.measures(y_two)
-        y_full = _rk4(system, y, fy, h)
+        drift_two = system.drift(system._state(y_two))
+        meas_two = system.measures(y_two, drift_two)
         err = float(np.max(np.abs(y_two - y_full))) / max(1.0, float(np.max(np.abs(y))))
         factor = max(0.2, min(2.0, 0.9 * (opts.step_err_tol / max(err, 1e-300)) ** 0.2))
         if err > opts.step_err_tol or meas_two[1] > delta_cur:
@@ -477,7 +497,7 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         # need not hold every step, so check s on each one here
         if meas_two[0] > meas[0] + 1e-12 * max(1.0, abs(meas[0])):
             raise FlowError(f"s increased along the trajectory at t={t:.6g}")
-        f_two = system.f(y_two)
+        f_two = system.f(y_two, drift_two)
         if opts.record_samples:
             ends = (y, fy, y_half, f_half, y_two, f_two)
             samples = _dense_samples(system, t, h, ends, meas, meas_two,

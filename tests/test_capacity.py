@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from frameflow import (
     Frame,
     NonNegMatrix,
+    capacity,
     delta_of,
     frame_to_operator,
     size_of,
@@ -35,7 +36,7 @@ from frameflow.capacity import (
     tensor_square,
     tight_example,
 )
-from frameflow.discrete_scaling import operator_sinkhorn
+from frameflow.discrete_scaling import IterationReport, operator_sinkhorn
 from frameflow.dynamics import frame_flow
 from frameflow.generate import (
     harmonic_frame,
@@ -526,6 +527,22 @@ def test_overflowing_imbalance_is_bracket_only():
         res = matrix_capacity(a)
     assert res.method == "bracket-only" and not res.converged
     assert res.lower <= res.value <= res.upper
+
+
+def test_overflowed_transforms_fall_back_to_size(monkeypatch):
+    # operator Sinkhorn never balances this tuple; by 10000 iterations its
+    # transforms have overflowed and their log-determinants are NaN
+    u = random_operator(2, 3, 5, (17, 24))
+    with np.errstate(all="ignore"):
+        res = operator_capacity(u, max_iters=10_000)
+    assert (res.value, res.method, res.converged) == (size_of(u), "bracket-only", False)
+    # the matrix route, handed transforms that overflowed the same way
+    a = random_matrix(3, 3, 7)
+    monkeypatch.setattr(capacity, "sinkhorn", lambda a, tol, max_iters: (
+        a, (np.full(3, np.inf), np.zeros(3)), IterationReport(10, 0.0, True)))
+    with np.errstate(all="ignore"):
+        res = matrix_capacity(a)
+    assert (res.value, res.method, res.converged) == (size_of(a), "bracket-only", False)
 
 
 def test_bounds_contain_value(rng):

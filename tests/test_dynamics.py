@@ -11,6 +11,7 @@ from frameflow import (
     NonNegMatrix,
     delta_of,
     dist,
+    dynamics,
     frame_to_operator,
     size_of,
 )
@@ -38,7 +39,7 @@ from frameflow.generate import (
     random_matrix,
     random_operator,
 )
-from frameflow.paulsen import rate_monitor
+from frameflow.paulsen import rate_monitor, solve_basic
 
 
 def _near_uniform_matrix(m, n, seed, spread=0.3):
@@ -400,6 +401,62 @@ def test_stacked_measures_match_state_by_state(make, system_cls, opts):
         assert len(traj) <= 65 and len(full) > 4 * 64
 
 
+def _three_rk4_double_step(system, y, fy, h):
+    """Reference for _double_step: the two half steps and the full step as
+    three separate _rk4 calls, one state each."""
+    y_half = _rk4(system, y, fy, 0.5 * h)
+    f_half = system.f(y_half)
+    y_two = _rk4(system, y_half, f_half, 0.5 * h)
+    return y_half, f_half, y_two, _rk4(system, y, fy, h)
+
+
+@pytest.mark.parametrize("opts", [validation_options(), FlowOptions(), FlowOptions(max_samples=64)],
+                         ids=["validation", "default", "thinned"])
+@pytest.mark.parametrize("make, system_cls", [
+    (_STEERING_INPUTS[0][0], _FrameSystem),
+    (_STEERING_INPUTS[1][0], _OperatorSystem),
+    (_STEERING_INPUTS[2][0], _MatrixSystem),
+], ids=["frame", "operator", "matrix"])
+def test_double_step_matches_three_rk4_steps(make, system_cls, opts, monkeypatch):
+    obj = make()
+    final, traj = _integrate(system_cls(obj), None, 1e6, opts)
+    monkeypatch.setattr(dynamics, "_double_step", _three_rk4_double_step)
+    final_ref, ref = _integrate(system_cls(obj), None, 1e6, opts)
+    same_csv = trajectory_csv(traj) == trajectory_csv(ref)  # no diff of ~15k-row strings
+    assert same_csv
+    assert (traj.status, traj.steps, traj.rejected_err, traj.rejected_delta, traj.evals) == (
+        ref.status, ref.steps, ref.rejected_err, ref.rejected_delta, ref.evals)
+    assert _final_bytes(final) == _final_bytes(final_ref)
+
+
+@pytest.mark.parametrize("n", [12, 500])
+def test_frame_drift_on_a_stack_matches_single_states(n):
+    frames = [near_parseval_frame(3, n, 0.05, seed)[0].vectors for seed in range(5)]
+    system = _FrameSystem(Frame(frames[0]))
+    stacked = system.drift(np.stack(frames))
+    for i, u in enumerate(frames):
+        for single, rows in zip(system.drift(u), stacked):
+            assert np.asarray(single).tobytes() == rows[i].tobytes()
+
+
+def test_solve_basic_takes_eight_drift_calls_per_step_attempt(monkeypatch):
+    calls = []
+    drift = _FrameSystem.drift
+    monkeypatch.setattr(_FrameSystem, "drift", lambda self, u: calls.append(1) or drift(self, u))
+    _, report = solve_basic(near_parseval_frame(3, 12, 0.01, 17)[0])
+    traj = report.traj
+    attempts = traj.steps + traj.rejected_err + traj.rejected_delta
+    assert traj.status == "converged" and traj.rejected_err + traj.rejected_delta > 0
+    # set-up measures and derivative at the start; then per attempt three
+    # stacked evaluations for the first half step and the full step beside
+    # it, one derivative and three evaluations for the second half step, and
+    # the end-of-step drift, shared by its measures and, on an accepted
+    # step, its derivative
+    assert len(calls) == 2 + 8 * attempts
+    # each state evaluated for a right-hand side counts once
+    assert traj.evals == 1 + 10 * attempts + traj.steps
+
+
 class _RoundoffFloor:
     """Stand-in flow system whose delta has reached its roundoff floor: it
     wobbles around a plateau instead of decreasing."""
@@ -459,9 +516,9 @@ class _SpikedFrameSystem(_FrameSystem):
 
     calls = 0
 
-    def measures(self, y):
+    def measures(self, y, drift=None):
         self.calls += 1
-        s, delta, speed2 = super().measures(y)
+        s, delta, speed2 = super().measures(y, drift)
         return s + (0.01 if self.calls == 2 else 0.0), delta, speed2
 
 
@@ -481,7 +538,7 @@ def test_thinned_recording_measures_only_kept_samples(monkeypatch):
     calls = []   # states measured, one at a time or as a stack
     measures, measures_stack = _MatrixSystem.measures, _MatrixSystem.measures_stack
     monkeypatch.setattr(_MatrixSystem, "measures",
-                        lambda self, y: calls.append(1) or measures(self, y))
+                        lambda self, y, drift=None: calls.append(1) or measures(self, y, drift))
     monkeypatch.setattr(_MatrixSystem, "measures_stack",
                         lambda self, ys: calls.append(len(ys)) or measures_stack(self, ys))
     a = _near_uniform_matrix(3, 4, 30)
