@@ -37,6 +37,11 @@ over all of them; a row's figure is the median over its repeats.  Rows:
                           included
   zero check 5x5          capacity_zero_check on a 5x5 pattern with a
                           perfect matching
+  zero check 5x6 full     capacity_zero_check on a positive 5x6 matrix: a
+                          full-support rectangle, decided without its lift
+  zero check 5x6 holes    the same on a 5x6 matrix with 30% of its entries
+                          zeroed and positive capacity: its 30x30 lift is
+                          built and matched
   perturb n=500           one perturbation of a near-Parseval 3x500 frame
   cli parse               what cli.main spends on its arguments before it
                           dispatches: the parser and the merged config of
@@ -76,6 +81,8 @@ def _rows() -> list:
     gaussian = random_frame(3, 12, 7)
     positive = NonNegMatrix(np.random.default_rng(7).uniform(0.05, 1.0, (4, 4)))
     pattern = NonNegMatrix((np.random.default_rng(11).random((5, 5)) < 0.6) | np.eye(5, dtype=bool))
+    full_rect = random_matrix(5, 6, 7)
+    holed_rect = random_matrix(5, 6, 7, density=0.7)
     wide = near_parseval_frame(3, 500, 0.01, 7)[0]
     gram = frame.gram()
     system = _FrameSystem(frame)
@@ -111,6 +118,8 @@ def _rows() -> list:
         ("frame-alternating iter", lambda: frame_alternating(gaussian, 1e-21), frame_iters),
         ("newton iteration", lambda: _newton(objective, np.zeros(4), 0.0, 1), newton_iters),
         ("zero check 5x5", lambda: capacity_zero_check(pattern), None),
+        ("zero check 5x6 full", lambda: capacity_zero_check(full_rect), None),
+        ("zero check 5x6 holes", lambda: capacity_zero_check(holed_rect), None),
         ("perturb n=500", lambda: perturb(wide, 1e-6, 7), None),
         ("cli parse", parse, None),
     ]

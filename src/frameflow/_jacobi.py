@@ -7,6 +7,8 @@ it replaced: the benchmark tracer (``perfbench/tracer.py``) looks up
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # eigenvalues at or below SINGULAR_RTOL * max eigenvalue count as zero when
@@ -18,14 +20,26 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) with eigenvalues w ascending and eigenvectors in the columns
     of V, so that  a == V @ diag(w) @ V.T  up to roundoff.  Raises
     ValueError unless a is square, finite and symmetric: no entry of a - a.T
-    may exceed 1e-10 * (1 + max|a|) in absolute value.  The entries are
-    checked to be finite first, so one max-abs reduction decides this."""
+    may exceed 1e-10 * (1 + max|a|) in absolute value.
+
+    The checks run in that order.  One max-abs reduction decides
+    finiteness, since NaN and inf carry through it, and gives max|a|.  An
+    input equal to its transpose bit for bit, as the Gram matrices of the
+    scaling loops and the flows are, is symmetric and equals
+    0.5 * (a + a.T), so it goes to LAPACK as it is; any other input takes
+    max|a - a.T| and is symmetrised.  The test is on bits, not on
+    max|a - a.T| == 0: a zero mirrored by a negative zero passes the
+    latter, and LAPACK's reflectors read the sign of a zero."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix expected, got {a.shape}")
-    if not np.isfinite(a).all():
+    amax = np.maximum.reduce(np.abs(a), axis=None, initial=0.0)
+    if not amax < math.inf:
         raise ValueError("matrix has non-finite entries")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(a).max(initial=0.0)):
+    bits = a.view(np.int64)
+    if np.equal(bits, bits.T).all():
+        return np.linalg.eigh(a)
+    if np.maximum.reduce(np.abs(a - a.T), axis=None) > 1e-10 * (1.0 + amax):
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigh(0.5 * (a + a.T))
 

@@ -12,8 +12,9 @@ diagonal/determinant-one scalings by explicit factors — which is what the
 scaling-based route exploits.  Capacity is zero exactly when the support has
 no perfect matching, certified by a Hall-style row/column witness.  For a
 rectangular input that is the support of its tensor lift to a square; the
-zero check lifts the boolean support only up to side 63, and decides a wider
-lift on the input's own support by a capacitated matching.
+zero check decides a rectangle with full support without any lift (its lift
+is all ones), lifts the boolean support only up to side 63, and decides a
+wider lift on the input's own support by a capacitated matching.
 """
 
 from __future__ import annotations
@@ -267,7 +268,9 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
     """Return a Hall witness if the capacity is zero, else None.
 
     A rectangular input stands for its tensor lift (`tensor_square`), and
-    witness indices refer to the lifted object.  A lift of side at most 63
+    witness indices refer to the lifted object.  A rectangle whose every
+    entry is positive returns None at once: its lift is an all-ones square,
+    which has a perfect matching.  Otherwise a lift of side at most 63
     is built from the boolean support, so no entry, however small, drops
     out of it, and read like a square input; a larger one is never built,
     and `_block_witness` finds its witness on the input's own support.  Up
@@ -277,6 +280,8 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
     """
     support = a.entries > 0.0
     if a.m != a.n:
+        if support.all():
+            return None
         g = math.gcd(a.m, a.n)
         if a.m * a.n // g > _MASK_BITS:
             return _block_witness(support, a.n // g, a.m // g)

@@ -203,11 +203,12 @@ class _System:
         lead = y.shape[:-1]
         self.evals += math.prod(lead)
         _, left, right, v, speed2 = self.drift(self._state(y)) if drift is None else drift
-        x, yy = self._sides(y)
-        if self.dense[0]:
-            left = left @ x
-        if self.dense[1]:
-            right = yy @ right
+        if self.dense[0] or self.dense[1]:
+            x, yy = self._sides(y)
+            if self.dense[0]:
+                left = left @ x
+            if self.dense[1]:
+                right = yy @ right
         out = np.empty(y.shape)
         out[..., : self.sl_u] = self.state_rate(v.reshape(lead + (-1,)))
         out[..., self.sl_u: self.sl_x] = left.reshape(lead + (-1,))
@@ -282,8 +283,8 @@ class _FrameSystem(_System):
 
     def drift(self, u):
         norms2 = np.einsum("...nd,...nd->...n", u, u)
-        s = norms2.sum(axis=-1)
-        c = s[..., None, None] * self.eye_d - self.d * (np.swapaxes(u, -1, -2) @ u)
+        s = np.add.reduce(norms2, axis=-1)
+        c = s[..., None, None] * self.eye_d - self.d * (u.swapaxes(-1, -2) @ u)
         w = s[..., None] - self.n * norms2
         du = u @ c + w[..., None] * u
         return s, c, w, du, np.einsum("...nd,...nd->...", du, du)
@@ -478,11 +479,12 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
             status = "t_max"
             break
         y_half, f_half, y_two, y_full = _double_step(system, y, fy, h)
-        if not np.all(np.isfinite(y_two)):
+        if not np.isfinite(y_two).all():
             raise FlowError(f"non-finite state at t={t:.6g}")
         drift_two = system.drift(system._state(y_two))
         meas_two = system.measures(y_two, drift_two)
-        err = float(np.max(np.abs(y_two - y_full))) / max(1.0, float(np.max(np.abs(y))))
+        err = (float(np.maximum.reduce(np.abs(y_two - y_full), axis=None))
+               / max(1.0, float(np.maximum.reduce(np.abs(y), axis=None))))
         factor = max(0.2, min(2.0, 0.9 * (opts.step_err_tol / max(err, 1e-300)) ** 0.2))
         if err > opts.step_err_tol or meas_two[1] > delta_cur:
             if err > opts.step_err_tol:

@@ -56,7 +56,7 @@ def random_frame(d: int, n: int, seed) -> Frame:
 
 def near_parseval_frame(d: int, n: int, eps: float, seed) -> tuple[Frame, float]:
     """Frame whose nearness parameter is calibrated to eps; returns
-    (frame, measured_eps).
+    (frame, eps_nearness(frame)), the nearness measured once.
 
     A Gaussian sample is balanced by alternating scaling into an exact
     equal-norm Parseval frame (degenerate draws are redrawn, at most 10
@@ -81,13 +81,11 @@ def near_parseval_frame(d: int, n: int, eps: float, seed) -> tuple[Frame, float]
         exact = None
     if exact is None:
         raise ScalingError("no nondegenerate Gaussian draw in 10 attempts")
-    measured = eps_nearness(exact)
     if eps == 0.0:
-        return exact, measured
+        return exact, eps_nearness(exact)
 
     noise = rng.normal(size=(n, d))
     eta = 0.1 * eps * math.sqrt(d / n) / math.sqrt(d)   # small, linear regime
-    frame = exact
     for _ in range(8):
         frame = Frame(exact.vectors + eta * noise)
         measured = eps_nearness(frame)

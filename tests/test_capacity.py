@@ -308,6 +308,28 @@ def test_zero_check_small_lift_keeps_subnormal_entries():
     assert capacity_zero_check(NonNegMatrix([[5e-324, 1.0, 0.0], [0.0, 1.0, 1.0]])) is None
 
 
+def _raises(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"the zero check called {name}")
+    return fail
+
+
+def test_zero_check_full_rectangle_skips_lift(rng, monkeypatch):
+    # an all-positive m x n input lifts to an all-ones square, so it has a
+    # perfect matching; neither the lift (np.kron, up to side 63: 7 x 9
+    # lifts to exactly 63) nor the capacitated matching of a wider lift
+    # (8 x 9, side 72) may run, whatever the entries, 5e-324 included
+    monkeypatch.setattr(np, "kron", _raises("np.kron"))
+    monkeypatch.setattr("frameflow.capacity._block_witness", _raises("_block_witness"))
+    shapes = [(m, n) for m in range(1, 10) for n in range(1, 10) if m != n]
+    assert (7, 9) in shapes and (8, 9) in shapes
+    for m, n in shapes:
+        entries = rng.uniform(0.5, 2.0, (m, n))
+        assert capacity_zero_check(NonNegMatrix(entries)) is None
+        entries[rng.integers(m), rng.integers(n)] = 5e-324
+        assert capacity_zero_check(NonNegMatrix(entries)) is None
+
+
 def test_zero_check_long_augmenting_paths():
     # the reversed triangle's only perfect matching is its anti-diagonal;
     # Hopcroft-Karp reaches it through augmenting paths of hundreds of rows,

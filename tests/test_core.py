@@ -32,7 +32,13 @@ from frameflow import (
 )
 from frameflow._jacobi import jacobi_eigh, sym_inv_sqrt, sym_sqrt
 from frameflow.capacity import tight_example
-from frameflow.generate import harmonic_frame, random_frame, random_matrix, random_operator
+from frameflow.generate import (
+    harmonic_frame,
+    near_parseval_frame,
+    random_frame,
+    random_matrix,
+    random_operator,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +162,35 @@ def test_delta_bounded_by_eps_at_unit_size(rng):
         assert delta_of(fr) <= 2.0 * fr.d**2 * eps_nearness(fr) ** 2 + 1e-9
 
 
+@pytest.mark.parametrize("eps, exit_path", [
+    (0.0, "exact"), (0.01, "in window"), (0.01, "zero measured"), (0.01, "exhausted"),
+])
+def test_near_parseval_frame_returns_the_nearness_of_its_frame(monkeypatch, eps, exit_path):
+    # the returned eps is eps_nearness of the returned frame, bit for bit, on
+    # every exit: the exact frame (eps = 0), the window reached, and the
+    # secant loop run out; "zero measured" starts with a nearness of 0,
+    # which raises the amplitude tenfold, and "exhausted" measures 3 eps
+    # above the truth, so the window [eps/2, 2 eps] is never reached
+    calls = []
+
+    def measure(frame):
+        value = eps_nearness(frame)
+        if exit_path == "zero measured" and not calls:
+            value = 0.0
+        elif exit_path == "exhausted":
+            value += 3.0 * eps
+        calls.append(frame)
+        return value
+
+    monkeypatch.setattr("frameflow.generate.eps_nearness", measure)
+    frame, measured = near_parseval_frame(3, 12, eps, 5)
+    assert calls[-1] is frame
+    remeasured = measure(frame)
+    assert np.float64(measured).tobytes() == np.float64(remeasured).tobytes()
+    assert len(calls) - 1 == {"exact": 1, "in window": 2, "zero measured": 3,
+                              "exhausted": 8}[exit_path]
+
+
 # ---------------------------------------------------------------------------
 # balance predicates
 
@@ -257,6 +292,43 @@ def test_eigh_of_diagonal_is_its_sorted_diagonal():
 def test_eigh_rejects_nonsquare_asymmetric_and_nonfinite(a):
     with pytest.raises(ValueError):
         jacobi_eigh(a)
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.ones((2, 3)), r"square matrix expected, got \(2, 3\)"),
+    (np.ones(3), r"square matrix expected, got \(3,\)"),
+    (np.full((2, 3), np.nan), "square matrix expected"),          # shape first
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix has non-finite entries"),
+    (np.array([[1.0, 5.0], [0.0, np.inf]]), "matrix has non-finite entries"),  # finiteness next
+    (np.array([[-np.inf, 0.0], [0.0, 1.0]]), "matrix has non-finite entries"),
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), "matrix is not symmetric"),
+])
+def test_eigh_error_messages_and_order(a, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        jacobi_eigh(a)
+
+
+def test_eigh_matches_lapack_on_symmetrised_input(rng):
+    # the answer is eigh(0.5 * (a + a.T)) bit for bit: on Gram matrices, on
+    # inputs asymmetric within the tolerance, and on a zero mirrored by a
+    # negative zero, which passes max|a - a.T| == 0 yet changes the sign of
+    # LAPACK's first reflector (and so the eigenvectors) if passed as it is
+    cases = []
+    for n in range(1, 7):
+        u = rng.standard_normal((3 * n, n))
+        gram = u.T @ u
+        nearly = gram.copy()
+        nearly[0, -1] += 1e-12 * (1.0 + np.abs(gram).max())
+        cases += [gram, nearly]
+    signed = np.array([[2.0, 0.0, 1.0], [-0.0, 3.0, 1.0], [1.0, 1.0, 4.0]])
+    cases += [signed, signed.T.copy()]
+    for a in cases:
+        want = np.linalg.eigh(0.5 * (a + a.T))
+        w, v = jacobi_eigh(a)
+        assert w.tobytes() == want[0].tobytes()
+        assert v.tobytes() == want[1].tobytes()
+    direct = np.linalg.eigh(signed)[1]
+    assert not np.array_equal(direct, np.linalg.eigh(0.5 * (signed + signed.T))[1])
 
 
 def test_eigh_symmetry_threshold():
