@@ -40,8 +40,10 @@ over all of them; a row's figure is the median over its repeats.  Rows:
   zero check 5x6 full     capacity_zero_check on a positive 5x6 matrix: a
                           full-support rectangle, decided without its lift
   zero check 5x6 holes    the same on a 5x6 matrix with 30% of its entries
-                          zeroed and positive capacity: its 30x30 lift is
-                          built and matched
+                          zeroed and positive capacity: a capacitated
+                          matching on its 5x6 support
+  zero check 19x21 tight  the same on tight_example(10).A, capacity zero:
+                          the capacitated matching ends with a Hall witness
   perturb n=500           one perturbation of a near-Parseval 3x500 frame
   cli parse               what cli.main spends on its arguments before it
                           dispatches: the parser and the merged config of
@@ -60,7 +62,7 @@ import numpy as np
 
 from frameflow import cli
 from frameflow._jacobi import jacobi_eigh
-from frameflow.capacity import _matrix_objective, _newton, capacity_zero_check
+from frameflow.capacity import _matrix_objective, _newton, capacity_zero_check, tight_example
 from frameflow.core import NonNegMatrix, delta_of, eps_nearness
 from frameflow.discrete_scaling import frame_alternating, operator_sinkhorn, sinkhorn
 from frameflow.dynamics import _FrameSystem, _double_step, _rk4
@@ -83,6 +85,7 @@ def _rows() -> list:
     pattern = NonNegMatrix((np.random.default_rng(11).random((5, 5)) < 0.6) | np.eye(5, dtype=bool))
     full_rect = random_matrix(5, 6, 7)
     holed_rect = random_matrix(5, 6, 7, density=0.7)
+    tight = tight_example(10).A
     wide = near_parseval_frame(3, 500, 0.01, 7)[0]
     gram = frame.gram()
     system = _FrameSystem(frame)
@@ -120,6 +123,7 @@ def _rows() -> list:
         ("zero check 5x5", lambda: capacity_zero_check(pattern), None),
         ("zero check 5x6 full", lambda: capacity_zero_check(full_rect), None),
         ("zero check 5x6 holes", lambda: capacity_zero_check(holed_rect), None),
+        ("zero check 19x21 tight", lambda: capacity_zero_check(tight), None),
         ("perturb n=500", lambda: perturb(wide, 1e-6, 7), None),
         ("cli parse", parse, None),
     ]

@@ -12,9 +12,9 @@ diagonal/determinant-one scalings by explicit factors — which is what the
 scaling-based route exploits.  Capacity is zero exactly when the support has
 no perfect matching, certified by a Hall-style row/column witness.  For a
 rectangular input that is the support of its tensor lift to a square; the
-zero check decides a rectangle with full support without any lift (its lift
-is all ones), lifts the boolean support only up to side 63, and decides a
-wider lift on the input's own support by a capacitated matching.
+zero check never builds that lift.  A rectangle with full support has a
+perfect matching (its lift is all ones), and any other rectangle is decided
+on its own support by a capacitated matching.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-# row bitmasks are formed by one int64 product, so they cover up to 63 columns
+# a square's row bitmasks are formed by one int64 product, so they cover up
+# to 63 columns
 _MASK_BITS = 63
 _BIT = 1 << np.arange(_MASK_BITS, dtype=np.int64)
 
@@ -186,8 +187,8 @@ def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | No
     with spare capacity in the final residual graph, expanded to their
     blocks, are the rows that alternating paths reach from the lift's free
     rows: that set is the same for every maximum matching (Dulmage-
-    Mendelsohn), so it is a union of blocks.  Certificates are those of the
-    lifted route, index for index.
+    Mendelsohn), so it is a union of blocks.  Certificates are those that
+    the square route gives on the lift, index for index.
     """
     m, n = support.shape
     side = m * row_cap
@@ -268,25 +269,22 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
     """Return a Hall witness if the capacity is zero, else None.
 
     A rectangular input stands for its tensor lift (`tensor_square`), and
-    witness indices refer to the lifted object.  A rectangle whose every
-    entry is positive returns None at once: its lift is an all-ones square,
-    which has a perfect matching.  Otherwise a lift of side at most 63
-    is built from the boolean support, so no entry, however small, drops
-    out of it, and read like a square input; a larger one is never built,
-    and `_block_witness` finds its witness on the input's own support.  Up
-    to side 63 the support is read as one bitmask per row, which gives the
-    empty-line certificates and the adjacency lists without further array
-    work.
+    witness indices refer to the lifted object, which is never built.  A
+    rectangle whose every entry is positive returns None at once: its lift
+    is an all-ones square, which has a perfect matching.  Any other
+    rectangle goes to `_block_witness`, which finds the lift's witness on
+    the input's own support.  A square of side at most 63 is read as one
+    bitmask per row, which gives the empty-line certificates and the
+    adjacency lists without further array work; a larger one is read as
+    arrays.  Both then run Hopcroft-Karp.
     """
     support = a.entries > 0.0
     if a.m != a.n:
         if support.all():
             return None
         g = math.gcd(a.m, a.n)
-        if a.m * a.n // g > _MASK_BITS:
-            return _block_witness(support, a.n // g, a.m // g)
-        support = np.kron(support, np.ones((a.n // g, a.m // g), dtype=bool))
-    n = support.shape[0]
+        return _block_witness(support, a.n // g, a.m // g)
+    n = a.n
 
     # cheap certificates first
     if n <= _MASK_BITS:

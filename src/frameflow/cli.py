@@ -324,8 +324,8 @@ def cmd_capacity(cfg: RunConfig) -> int:
     if kind == "matrix":
         # both routes open with the same zero check, and a zero result
         # reports convex_value 0.0 and gap 0.0 either way; the check costs
-        # about 2 us a run on a rectangle with full support, which needs no
-        # lift, but about 130 us on a 5x6 one with zeros (lift and matching)
+        # about 2 us a run on a rectangle with full support, and about 30 us
+        # on a 5x6 one with zeros (a capacitated matching on its support)
         convex = res if res.method == "zero-detected" else matrix_capacity_convex(obj)
         gap = abs(res.value - convex.value) / max(res.value, convex.value, 1e-300)
         doc.update(convex_value=convex.value, convex_converged=convex.converged,

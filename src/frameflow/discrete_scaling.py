@@ -22,7 +22,11 @@ the other half is not computed.  The reported delta is always the whole.
 
 A non-finite entry in an iterate makes delta NaN, which stops the loop,
 and the output's constructor then raises ValueError.  A non-finite delta
-never counts as converged, in any of the three.
+never counts as converged, in any of the three.  The report says why the
+loop stopped, read once at exit: `converged`, `max_iters`, or `non-finite`
+when delta or a transform entry is not finite or a diagonal transform holds
+a 0.  The transforms of an input that no scaling balances can overflow and
+underflow while its iterate stays finite.
 
 Each routine returns (output, (left, right), report): the accumulated
 transforms taking the input to the output, a diagonal side as the 1-D vector
@@ -53,12 +57,21 @@ class IterationReport:
     iterations: int
     final_delta: float
     converged: bool
+    stop: str | None = None     # converged | non-finite | max_iters; None if built by hand
 
 
-def _report(iterations: int, delta: float, tol: float) -> IterationReport:
+def _report(iterations: int, delta: float, tol: float, transforms) -> IterationReport:
     """A non-finite delta (an overflowed sum) never counts as converged, not
-    even against a tol that overflowed too."""
-    return IterationReport(iterations, float(delta), bool(delta <= tol) and math.isfinite(delta))
+    even against a tol that overflowed too.  A loop that stops short of
+    convergence with finite delta and transforms ran out of iterations."""
+    if delta <= tol and math.isfinite(delta):
+        stop = "converged"
+    elif not math.isfinite(delta) or any(
+            not np.isfinite(t).all() or (t.ndim == 1 and not t.all()) for t in transforms):
+        stop = "non-finite"
+    else:
+        stop = "max_iters"
+    return IterationReport(iterations, float(delta), stop == "converged", stop)
 
 
 def _above(half, s: float, tol: float) -> bool:
@@ -112,7 +125,7 @@ def sinkhorn(
         s = np.add.reduce(mat, axis=None)
         r = np.add.reduce(mat, axis=1)
 
-    return NonNegMatrix(mat), (x, y), _report(iterations, delta, tol)
+    return NonNegMatrix(mat), (x, y), _report(iterations, delta, tol, (x, y))
 
 
 def operator_sinkhorn(
@@ -159,7 +172,7 @@ def operator_sinkhorn(
         gram_l = np.einsum("kmn,kln->ml", mats, mats)
         s = float(np.trace(gram_l))
 
-    return OperatorTuple(mats), (left, right), _report(iterations, delta, tol)
+    return OperatorTuple(mats), (left, right), _report(iterations, delta, tol, (left, right))
 
 
 def frame_alternating(
@@ -205,4 +218,4 @@ def frame_alternating(
         gram = vecs.T @ vecs
         s = float(np.trace(gram))
 
-    return Frame(vecs), (left, yscale), _report(iterations, delta, tol)
+    return Frame(vecs), (left, yscale), _report(iterations, delta, tol, (left, yscale))

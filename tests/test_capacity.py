@@ -251,15 +251,17 @@ def _lifted_witness(a):
     return capacity_zero_check(lifted)
 
 
-@pytest.mark.parametrize("shape", [(7, 10), (9, 11), (19, 21), (18, 24), (22, 33)])
-def test_zero_check_wide_lift_matches_lifted_witness(shape, rng, monkeypatch):
-    # lifts wider than 63 (sides 70, 99, 399, 72 with g = 6, 66 with g = 11)
-    # are never built: the witness must still equal the lift's, index for
-    # index; densities from sparse to dense give both outcomes, and forced
-    # entries in half the draws rule out the empty-line certificates
+@pytest.mark.parametrize("shape", [(7, 10), (9, 11), (19, 21), (18, 24), (22, 33),
+                                   (5, 6), (7, 9), (4, 6)])
+def test_zero_check_rectangle_matches_lifted_witness(shape, rng, monkeypatch):
+    # no lift is built, whatever its side (70, 99, 399, 72 with g = 6, 66
+    # with g = 11, 30, 63, 12 with g = 2): the witness must still equal the
+    # lift's, index for index; densities from sparse to dense give both
+    # outcomes, and forced entries in half the draws rule out the empty-line
+    # certificates
     m, n = shape
     supports = []
-    for draw in range(12):
+    for draw in range(16):
         support = rng.random((m, n)) < rng.uniform(0.02, 0.6)
         if draw % 2:
             support[np.arange(m), rng.integers(0, n, m)] = True
@@ -275,6 +277,7 @@ def test_zero_check_wide_lift_matches_lifted_witness(shape, rng, monkeypatch):
     cases = [NonNegMatrix(s * rng.uniform(0.5, 2.0, (m, n))) for s in supports]
     expected = [_lifted_witness(a) for a in cases]
     monkeypatch.setattr("frameflow.capacity.tensor_square", _no_lift)
+    monkeypatch.setattr(np, "kron", _no_lift)
     side = m * n // math.gcd(m, n)
     kinds = set()
     for a, want in zip(cases, expected):
@@ -291,18 +294,20 @@ def test_zero_check_wide_lift_matches_lifted_witness(shape, rng, monkeypatch):
 
 
 def test_zero_check_tight_examples(monkeypatch):
-    # each gives its lift's certificate; k <= 4 lifts to a side of at most
-    # 63, whose support is built, k >= 5 is not; neither lifts the values
+    # each gives its lift's certificate, and none builds its lift, neither
+    # the values nor the support, whether its side is at most 63 (k <= 4)
+    # or wider
     cases = [tight_example(k).A for k in range(1, 13)]
     expected = [_lifted_witness(a) for a in cases]
     monkeypatch.setattr("frameflow.capacity.tensor_square", _no_lift)
+    monkeypatch.setattr(np, "kron", _no_lift)
     for a, want in zip(cases, expected):
         assert want is not None
         assert len(want["rows"]) + len(want["cols"]) > a.m * a.n // math.gcd(a.m, a.n)
         assert capacity_zero_check(a) == want
 
 
-def test_zero_check_small_lift_keeps_subnormal_entries():
+def test_zero_check_rectangle_keeps_subnormal_entries():
     # the value lift scales 5e-324 by g^2/(mn) = 1/6 and rounds it to zero,
     # which cut the support's only perfect b-matching
     assert capacity_zero_check(NonNegMatrix([[5e-324, 1.0, 0.0], [0.0, 1.0, 1.0]])) is None
@@ -314,11 +319,27 @@ def _raises(name):
     return fail
 
 
+def test_zero_check_every_small_rectangle_matches_its_lift(monkeypatch):
+    # every 0/1 support of every shape m != n with m, n <= 6 and mn <= 12
+    # (19,320 supports): the certificate equals the one the square route
+    # gives on the materialised lift, and no lift is built
+    cases = []
+    for m, n in itertools.product(range(1, 7), repeat=2):
+        if m == n or m * n > 12:
+            continue
+        bits = (np.arange(2 ** (m * n))[:, None] >> np.arange(m * n)) & 1
+        cases.extend(NonNegMatrix(b.reshape(m, n).astype(float)) for b in bits)
+    assert len(cases) == 19320
+    expected = [capacity_zero_check(tensor_square(a)) for a in cases]
+    monkeypatch.setattr(np, "kron", _raises("np.kron"))
+    assert [capacity_zero_check(a) for a in cases] == expected
+
+
 def test_zero_check_full_rectangle_skips_lift(rng, monkeypatch):
     # an all-positive m x n input lifts to an all-ones square, so it has a
-    # perfect matching; neither the lift (np.kron, up to side 63: 7 x 9
-    # lifts to exactly 63) nor the capacitated matching of a wider lift
-    # (8 x 9, side 72) may run, whatever the entries, 5e-324 included
+    # perfect matching; neither a lift (np.kron) nor the capacitated
+    # matching may run, whatever the lift's side (7 x 9 lifts to 63, 8 x 9
+    # to 72) and whatever the entries, 5e-324 included
     monkeypatch.setattr(np, "kron", _raises("np.kron"))
     monkeypatch.setattr("frameflow.capacity._block_witness", _raises("_block_witness"))
     shapes = [(m, n) for m in range(1, 10) for n in range(1, 10) if m != n]

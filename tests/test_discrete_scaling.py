@@ -172,6 +172,46 @@ def test_overflowing_delta_is_not_converged():
     with np.errstate(over="ignore"):
         _, _, report = sinkhorn(a, np.inf)
     assert report.final_delta == np.inf and not report.converged
+    assert report.stop == "non-finite"
+
+
+def _c04_draw(seed, index):
+    """Draw `index` (0-based) of the criterion-04 generator under `seed`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        m, n = rng.integers(1, 7, 2)
+        ent = rng.uniform(0.0, 1.0, (m, n)) ** 2
+        if rng.random() < 0.3:
+            ent *= rng.random((m, n)) < 0.8
+    return NonNegMatrix(ent)
+
+
+def test_sinkhorn_overflowing_transforms_stop_non_finite():
+    # a 4x2 draw with capacity zero and no zero line: its iterate stays
+    # finite, but x overflows to inf and underflows to 0, and y falls
+    # to 5e-324
+    a = _c04_draw(404, 129)
+    assert a.entries.shape == (4, 2)
+    with np.errstate(over="ignore"):
+        _, (x, y), report = sinkhorn(a, 1e-12 * size_of(a) ** 2, 2000)
+    assert np.isinf(x).any() and (x == 0.0).any() and y.min() == 5e-324
+    assert (report.iterations, report.converged, report.stop) == (2000, False, "non-finite")
+
+
+def test_scaling_loops_say_why_they_stopped():
+    # a draw of the sinkhorn-capped answer group (positive capacity, no
+    # total support) runs to its cap with finite transforms
+    a = _c04_draw(20260822, 5)
+    _, (x, y), report = sinkhorn(a, 1e-12 * size_of(a) ** 2, 5000)
+    assert np.isfinite(x).all() and x.all() and np.isfinite(y).all() and y.all()
+    assert (report.iterations, report.converged, report.stop) == (5000, False, "max_iters")
+    u = random_operator(2, 3, 4, 5)
+    f = random_frame(3, 8, 5)
+    for run in (lambda: sinkhorn(random_matrix(4, 6, 11)), lambda: operator_sinkhorn(u),
+                lambda: frame_alternating(f)):
+        assert run()[2].stop == "converged"
+    assert operator_sinkhorn(u, 0.0, 3)[2].stop == "max_iters"
+    assert frame_alternating(f, 0.0, 3)[2].stop == "max_iters"
 
 
 # ---------------------------------------------------------------------------
