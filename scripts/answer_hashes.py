@@ -204,8 +204,7 @@ def sinkhorn_capped() -> list:
         a = NonNegMatrix(ent)
         if capacity_zero_check(a) is not None:
             continue
-        with np.errstate(over="ignore"):    # the transforms of these draws overflow
-            b, (x, y), report = sinkhorn(a, 1e-12 * size_of(a) ** 2, C04_CAP)
+        b, (x, y), report = sinkhorn(a, 1e-12 * size_of(a) ** 2, C04_CAP)
         if not report.converged:
             out.append(b.entries.tobytes() + x.tobytes() + y.tobytes()
                        + repr((report.iterations, report.final_delta)).encode())

@@ -48,14 +48,23 @@ over all of them; a row's figure is the median over its repeats.  Rows:
   cli parse               what cli.main spends on its arguments before it
                           dispatches: the parser and the merged config of
                           `capacity --in X`
+  capacity op 5x6 full    one whole in-process `frameflow capacity` op on
+                          the positive 5x6 matrix of the zero check rows
+                          (read from a JSON file, report to a string): the
+                          one pass of capacity_report, both matrix routes
+  capacity op 5x6 holes   the same on the 5x6 matrix with zeros
 
 The iteration rows divide by the iteration count their call reports, which
 is printed beside them; it should match between two commits compared.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import statistics
+import tempfile
 import time
 
 import numpy as np
@@ -63,7 +72,7 @@ import numpy as np
 from frameflow import cli
 from frameflow._jacobi import jacobi_eigh
 from frameflow.capacity import _matrix_objective, _newton, capacity_zero_check, tight_example
-from frameflow.core import NonNegMatrix, delta_of, eps_nearness
+from frameflow.core import NonNegMatrix, delta_of, eps_nearness, save_json
 from frameflow.discrete_scaling import frame_alternating, operator_sinkhorn, sinkhorn
 from frameflow.dynamics import _FrameSystem, _double_step, _rk4
 from frameflow.generate import near_parseval_frame, random_frame, random_matrix, random_operator
@@ -72,7 +81,16 @@ from frameflow.paulsen import perturb
 BATCH_S = 0.02
 
 
-def _rows() -> list:
+def _cli_op(argv: list):
+    """A call that runs one in-process CLI op, its report sent to a string."""
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(list(argv)) != 0:
+                raise SystemExit(f"{' '.join(argv)} failed")
+    return call
+
+
+def _rows(workdir: str) -> list:
     """(name, call, iterations per call or None)."""
     frame = near_parseval_frame(3, 12, 0.01, 7)[0]
     matrix = random_matrix(6, 6, 7)
@@ -96,6 +114,11 @@ def _rows() -> list:
     wide_f0 = wide_system.f(wide_y0)
     objective = _matrix_objective(positive.entries)
     argv = ["capacity", "--in", "x.json"]
+    ops = {}
+    for name, obj in (("full", full_rect), ("holes", holed_rect)):
+        path = os.path.join(workdir, f"{name}.json")
+        save_json(obj, path)
+        ops[name] = _cli_op(["capacity", "--in", path])
 
     def parse():
         parser = cli._make_parser()
@@ -126,6 +149,8 @@ def _rows() -> list:
         ("zero check 19x21 tight", lambda: capacity_zero_check(tight), None),
         ("perturb n=500", lambda: perturb(wide, 1e-6, 7), None),
         ("cli parse", parse, None),
+        ("capacity op 5x6 full", ops["full"], None),
+        ("capacity op 5x6 holes", ops["holes"], None),
     ]
 
 
@@ -144,15 +169,16 @@ def main() -> None:
     ap.add_argument("--json", help="also write {row: median us per call} here")
     args = ap.parse_args()
 
-    rows = _rows()
-    sizes = [_batch_size(call) for _, call, _ in rows]
-    samples = [[] for _ in rows]
-    for _ in range(args.repeats):
-        for (_, call, iters), size, out in zip(rows, sizes, samples):
-            start = time.perf_counter()
-            for _ in range(size):
-                call()
-            out.append((time.perf_counter() - start) / size / (iters or 1) * 1e6)
+    with tempfile.TemporaryDirectory() as workdir:
+        rows = _rows(workdir)
+        sizes = [_batch_size(call) for _, call, _ in rows]
+        samples = [[] for _ in rows]
+        for _ in range(args.repeats):
+            for (_, call, iters), size, out in zip(rows, sizes, samples):
+                start = time.perf_counter()
+                for _ in range(size):
+                    call()
+                out.append((time.perf_counter() - start) / size / (iters or 1) * 1e6)
 
     medians = {}
     print(f"{'layer':<24} {'us/call':>9} {'iters':>6}")

@@ -15,6 +15,11 @@ rectangular input that is the support of its tensor lift to a square; the
 zero check never builds that lift.  A rectangle with full support has a
 perfect matching (its lift is all ones), and any other rectangle is decided
 on its own support by a capacitated matching.
+
+`capacity_report` makes one pass over an input: it takes the zero check,
+size, delta and bracket once, feeds them to the private routes (both of
+them for a matrix) and returns one record.  The public routes and
+`capacity_bounds` are thin wrappers over the same private routes.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from ._jacobi import jacobi_eigh
 from .core import Frame, NonNegMatrix, OperatorTuple, delta_of, size_of
 from .discrete_scaling import ScalingError, operator_sinkhorn, sinkhorn
 
+SCALING_TOL = 1e-12      # the scaling routes stop at delta <= SCALING_TOL * s^2
+SCALING_MAX_ITERS = 100_000
 GRAD_TOL = 1e-10
 ARMIJO_C = 1e-4
 NEWTON_MAX_ITERS = 200
@@ -62,6 +69,24 @@ class CapacityResult:
     upper: float | None = None
     converged: bool = True
     iterations: int = 0               # Newton steps (convex routes) or scaling sweeps
+    # why the route stopped: converged | max_iters, then line-search (Newton)
+    # or non-finite (scaling); None when zero was detected before it ran
+    stop: str | None = None
+
+
+@dataclass(frozen=True)
+class CapacityReport:
+    """One capacity pass over an input (`capacity_report`).  `result` is the
+    route the input's kind takes (scaling for a matrix or operator tuple,
+    Newton for a frame); a matrix also carries its convex route and the
+    relative gap between the two values (0.0 when the capacity is zero)."""
+
+    kind: str                             # matrix | frame | operator
+    size: float
+    delta: float
+    result: CapacityResult
+    convex: CapacityResult | None = None
+    dual_relative_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -329,8 +354,11 @@ def capacity_bounds(obj) -> tuple[float, float]:
     decay-rate bound  s - delta/(5 kappa alpha n)  whenever its pseudorandom
     preconditions verifiably hold.
     """
-    s = size_of(obj)
-    delta = delta_of(obj)
+    return _bracket(obj, size_of(obj), delta_of(obj))
+
+
+def _bracket(obj, s: float, delta: float) -> tuple[float, float]:
+    """`capacity_bounds` of an object whose size s and delta are known."""
     root = math.sqrt(delta / 2.0)
     if isinstance(obj, NonNegMatrix):
         m, n = obj.m, obj.n
@@ -357,30 +385,43 @@ def capacity_bounds(obj) -> tuple[float, float]:
 # matrix capacity, two independent routes
 
 
-def _scaling_result(value: float, lower: float, upper: float, report) -> CapacityResult:
+def _zero_result(certificate: dict) -> CapacityResult:
+    return CapacityResult(0.0, "zero-detected", certificate, 0.0, 0.0)
+
+
+def _scaling_result(value: float, bracket: tuple[float, float], report) -> CapacityResult:
     """A scaling route's result: its point estimate clamped at the size
     upper, since capacity never exceeds size.  Transforms that overflowed
     leave a non-finite estimate, which min would keep as NaN; it says
-    nothing, so the value falls back to upper, unconverged."""
-    converged = report.converged and math.isfinite(value)
-    value = min(value, upper) if math.isfinite(value) else upper
-    method = "scaling-based" if converged else "bracket-only"
-    return CapacityResult(value, method, None, lower, upper, converged, report.iterations)
+    nothing, so the value falls back to upper, unconverged, and the route
+    reads as stopped by a non-finite value."""
+    lower, upper = bracket
+    if not math.isfinite(value):
+        return CapacityResult(upper, "bracket-only", None, lower, upper, False,
+                              report.iterations, "non-finite")
+    method = "scaling-based" if report.converged else "bracket-only"
+    return CapacityResult(min(value, upper), method, None, lower, upper, report.converged,
+                          report.iterations, report.stop)
 
 
-def matrix_capacity(a: NonNegMatrix, tol: float = 1e-12, max_iters: int = 100_000) -> CapacityResult:
+def _matrix_scaling(a: NonNegMatrix, s: float, bracket: tuple[float, float],
+                    tol: float, max_iters: int) -> CapacityResult:
+    b, (x, y), report = sinkhorn(a, tol * s * s, max_iters)
+    value = size_of(b) * math.exp(-_logabsdet(x) / a.m - _logabsdet(y) / a.n)
+    return _scaling_result(value, bracket, report)
+
+
+def matrix_capacity(a: NonNegMatrix, tol: float = SCALING_TOL,
+                    max_iters: int = SCALING_MAX_ITERS) -> CapacityResult:
     """Scaling route: balance with sinkhorn to delta <= tol * s^2, then undo
     the diagonal scalings; at balance the capacity equals the size, so the
     estimate is s(B) * (prod x)^{-1/m} (prod y)^{-1/n}, clamped at s because
     capacity never exceeds size."""
     cert = capacity_zero_check(a)
     if cert is not None:
-        return CapacityResult(0.0, "zero-detected", cert, 0.0, 0.0)
-    s_in = size_of(a)
-    lower, upper = capacity_bounds(a)
-    b, (x, y), report = sinkhorn(a, tol * s_in * s_in, max_iters)
-    value = size_of(b) * math.exp(-_logabsdet(x) / a.m - _logabsdet(y) / a.n)
-    return _scaling_result(value, lower, upper, report)
+        return _zero_result(cert)
+    s = size_of(a)
+    return _matrix_scaling(a, s, _bracket(a, s, delta_of(a)), tol, max_iters)
 
 
 def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
@@ -394,8 +435,10 @@ def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
     test, so there the full step is also taken when f did not rise beyond
     roundoff and max|g| shrank.  f sums terms of the size of log m (or
     log d) and of the entries of y, so its roundoff is measured against
-    |f| + 1 + max|y|, not |f| alone, which can be far smaller.  Stops when
-    max|g| <= tol; returns (y, f, converged, iterations).
+    |f| + 1 + max|y|, not |f| alone, which can be far smaller.  Returns
+    (y, f, stop, iterations), where stop says why it stopped: `converged`
+    once max|g| <= tol, `max_iters`, or `line-search` when the step was
+    halved below 1e-18 without passing either test.
     """
     n = y0.size
     gauge = np.full((n, n), 1.0 / n)
@@ -405,7 +448,7 @@ def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
     iterations = 0
     while gnorm > tol:
         if iterations == max_iters:
-            return y, f, False, iterations
+            return y, f, "max_iters", iterations
         # least squares, because H loses rank where the infimum lies at
         # infinity along some direction (a support without total support)
         p = np.linalg.lstsq(h + gauge, -g, rcond=None)[0]
@@ -422,11 +465,20 @@ def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
                 break
             t *= 0.5
             if t < 1e-18:
-                return y, f, False, iterations
+                return y, f, "line-search", iterations
         y, f, g, h = trial, f_new, g_new, h_new
         gnorm = float(np.maximum.reduce(np.abs(g), axis=None))
         iterations += 1
-    return y, f, True, iterations
+    return y, f, "converged", iterations
+
+
+def _convex(objective, n: int, bracket: tuple[float, float], tol: float,
+            max_iters: int) -> CapacityResult:
+    """A convex route's result: exp of the minimum that Newton finds from
+    y = 0, flagged unconverged unless max|grad f| <= tol at the end."""
+    _, f, stop, iterations = _newton(objective, np.zeros(n), tol, max_iters)
+    return CapacityResult(math.exp(f), "convex-descent", None, *bracket,
+                          stop == "converged", iterations, stop)
 
 
 def _matrix_objective(mat: np.ndarray):
@@ -461,10 +513,8 @@ def matrix_capacity_convex(a: NonNegMatrix, tol: float = GRAD_TOL,
     `converged` is False when max|grad f| > tol at the end."""
     cert = capacity_zero_check(a)
     if cert is not None:
-        return CapacityResult(0.0, "zero-detected", cert, 0.0, 0.0)
-    _, f, ok, iterations = _newton(_matrix_objective(a.entries), np.zeros(a.n), tol, max_iters)
-    lower, upper = capacity_bounds(a)
-    return CapacityResult(math.exp(f), "convex-descent", None, lower, upper, ok, iterations)
+        return _zero_result(cert)
+    return _convex(_matrix_objective(a.entries), a.n, capacity_bounds(a), tol, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +543,21 @@ def _frame_objective(vecs: np.ndarray, d: int, n: int):
     return objective
 
 
+def _frame_certificate(fr: Frame) -> dict | None:
+    """The zero certificate of a frame whose vectors do not span R^d (the
+    determinant vanishes for every weight), else None."""
+    if np.linalg.slogdet(fr.vectors.T @ fr.vectors)[0] > 0:
+        return None
+    return {"reason": "vectors do not span"}
+
+
 def frame_weight_minimizer(fr: Frame, tol: float = GRAD_TOL,
                            max_iters: int = NEWTON_MAX_ITERS) -> np.ndarray:
     """Positive per-vector weights x_l = e^{y_l} minimizing the diagonal
     capacity program (by the Newton routine of frame_capacity); the
     eigenbasis of sum_l x_l u_l u_l^T at these weights is the natural
     frame-side basis for the matrix compression."""
-    sign, _ = np.linalg.slogdet(fr.vectors.T @ fr.vectors)
-    if sign <= 0:
+    if _frame_certificate(fr) is not None:
         raise CapacityError("vectors do not span; no interior minimizer")
     y, _, _, _ = _newton(_frame_objective(fr.vectors, fr.d, fr.n),
                          np.zeros(fr.n), tol, max_iters)
@@ -514,29 +571,64 @@ def frame_capacity(fr: Frame, tol: float = GRAD_TOL,
     minimized from y = 0 by gauge-fixed damped Newton; value exp(g*).  A
     frame whose vectors do not span R^d has capacity zero (the determinant
     vanishes for every weight)."""
-    d, n = fr.d, fr.n
-    vecs = fr.vectors
-    sign, _ = np.linalg.slogdet(vecs.T @ vecs)
-    if sign <= 0:
-        return CapacityResult(0.0, "zero-detected", {"reason": "vectors do not span"}, 0.0, 0.0)
-    _, f, ok, iterations = _newton(_frame_objective(vecs, d, n), np.zeros(n), tol, max_iters)
-    lower, upper = capacity_bounds(fr)
-    return CapacityResult(math.exp(f), "convex-descent", None, lower, upper, ok, iterations)
+    cert = _frame_certificate(fr)
+    if cert is not None:
+        return _zero_result(cert)
+    return _convex(_frame_objective(fr.vectors, fr.d, fr.n), fr.n, capacity_bounds(fr),
+                   tol, max_iters)
 
 
-def operator_capacity(u: OperatorTuple, tol: float = 1e-12, max_iters: int = 100_000) -> CapacityResult:
+def _operator_scaling(u: OperatorTuple, s: float, bracket: tuple[float, float],
+                      tol: float, max_iters: int) -> CapacityResult:
+    try:
+        v, (left, right), report = operator_sinkhorn(u, tol * s * s, max_iters)
+    except ScalingError as exc:
+        return _zero_result({"reason": str(exc)})
+    value = size_of(v) * math.exp(-2.0 * _logabsdet(left) / u.m - 2.0 * _logabsdet(right) / u.n)
+    return _scaling_result(value, bracket, report)
+
+
+def operator_capacity(u: OperatorTuple, tol: float = SCALING_TOL,
+                      max_iters: int = SCALING_MAX_ITERS) -> CapacityResult:
     """Scaling route for operator tuples, with the always-reported bracket
     [s - mn sqrt(delta/2), s].  The balanced point estimate uses the exact
     transform rule cap(L U R) = det(L)^{2/m} det(R)^{2/n} cap(U), so it is
     valid (an upper estimate) even when the iteration stops early."""
-    s_in = size_of(u)
-    lower, upper = capacity_bounds(u)
-    try:
-        v, (left, right), report = operator_sinkhorn(u, tol * s_in * s_in, max_iters)
-    except ScalingError as exc:
-        return CapacityResult(0.0, "zero-detected", {"reason": str(exc)}, 0.0, 0.0)
-    value = size_of(v) * math.exp(-2.0 * _logabsdet(left) / u.m - 2.0 * _logabsdet(right) / u.n)
-    return _scaling_result(value, lower, upper, report)
+    s = size_of(u)
+    return _operator_scaling(u, s, _bracket(u, s, delta_of(u)), tol, max_iters)
+
+
+# ---------------------------------------------------------------------------
+# one pass per input
+
+
+def capacity_report(obj) -> CapacityReport:
+    """Capacity of a matrix, frame or operator tuple in one pass: the zero
+    check, size_of, delta_of and the bracket each run once, and feed the
+    routes of the public functions with their default tolerances (both
+    routes for a matrix) and the record.  A zero-capacity input skips the
+    bracket and the routes."""
+    s, delta = size_of(obj), delta_of(obj)
+    if isinstance(obj, NonNegMatrix):
+        cert = capacity_zero_check(obj)
+        if cert is not None:
+            zero = _zero_result(cert)
+            return CapacityReport("matrix", s, delta, zero, zero, 0.0)
+        bracket = _bracket(obj, s, delta)
+        res = _matrix_scaling(obj, s, bracket, SCALING_TOL, SCALING_MAX_ITERS)
+        convex = _convex(_matrix_objective(obj.entries), obj.n, bracket,
+                         GRAD_TOL, NEWTON_MAX_ITERS)
+        gap = abs(res.value - convex.value) / max(res.value, convex.value, 1e-300)
+        return CapacityReport("matrix", s, delta, res, convex, gap)
+    if isinstance(obj, Frame):
+        cert = _frame_certificate(obj)
+        if cert is not None:
+            return CapacityReport("frame", s, delta, _zero_result(cert))
+        return CapacityReport("frame", s, delta, _convex(
+            _frame_objective(obj.vectors, obj.d, obj.n), obj.n, _bracket(obj, s, delta),
+            GRAD_TOL, NEWTON_MAX_ITERS))
+    return CapacityReport("operator", s, delta, _operator_scaling(
+        obj, s, _bracket(obj, s, delta), SCALING_TOL, SCALING_MAX_ITERS))
 
 
 def _embedded_frame(u: OperatorTuple) -> Frame | None:
@@ -563,7 +655,7 @@ def reduce_operator_to_matrix(u: OperatorTuple, x: np.ndarray | None = None) -> 
     """
     if x is None:
         fr = _embedded_frame(u)
-        if fr is not None and np.linalg.slogdet(fr.vectors.T @ fr.vectors)[0] > 0:
+        if fr is not None and _frame_certificate(fr) is None:
             x = np.diag(frame_weight_minimizer(fr))
         else:
             x = np.eye(u.n)

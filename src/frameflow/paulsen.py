@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jacobi import sym_sqrt
-from .capacity import KAPPA_RATE, capacity_bounds
+from .capacity import KAPPA_RATE, _bracket
 from .core import Frame, NonNegMatrix, delta_of, dist, size_of
 from .dynamics import FlowError, FlowOptions, Trajectory, frame_flow
 from .generate import harmonic_frame
@@ -325,8 +325,10 @@ def rate_monitor(traj: Trajectory, alpha: float, variant: str = "strong") -> Rat
 # smoothed pipeline
 
 
-def _renorm_size(fr: Frame, d: int) -> Frame:
-    return Frame(fr.vectors * math.sqrt(d / size_of(fr)))
+def _renorm_size(fr: Frame, d: int) -> tuple[Frame, float]:
+    """The frame rescaled to size d, and the factor that did it."""
+    factor = math.sqrt(d / size_of(fr))
+    return Frame(fr.vectors * factor), factor
 
 
 def solve_smoothed(
@@ -362,8 +364,8 @@ def solve_smoothed(
             stacklevel=2,
         )
 
-    cur = _renorm_size(u, d)
-    delta0 = delta_of(cur)
+    cur, _ = _renorm_size(u, d)
+    delta_l = delta0 = delta_of(cur)
     if delta0 > d / 16.0:
         v, report = solve_basic(u, final_delta=min(final_delta, 3e-17), t_max=t_max)
         trace.downgraded = True
@@ -373,7 +375,8 @@ def solve_smoothed(
         return v, trace
 
     for level in range(MAX_PATH_ITERATIONS):
-        delta_l = delta_of(cur)
+        # delta_l is delta_of(cur), taken once: delta0 at level 0, then the
+        # rescaled imbalance of the level before
         if delta_l <= final_delta:
             return cur, trace
         sigma2 = min(
@@ -409,7 +412,7 @@ def solve_smoothed(
                                   opts=SOLVE_FLOW_OPTIONS)
         if traj.status != "converged":
             raise FlowError(f"iteration {level}: flow ended {traj.status!r}, not 'converged'")
-        nxt = _renorm_size(flowed, d)
+        nxt, factor = _renorm_size(flowed, d)
         delta_next = delta_of(nxt)
         if delta_next > delta0 / 2.0 ** (level + 1):
             raise FlowError(
@@ -427,12 +430,12 @@ def solve_smoothed(
                 "delta_after_flow": delta_of(flowed),
                 "delta_after": delta_next,
                 "flow_time": float(traj.t[-1]),
-                "rescale_factor": math.sqrt(d / size_of(flowed)),
-                "capacity_lower": capacity_bounds(cur)[0],
+                "rescale_factor": factor,
+                "capacity_lower": _bracket(cur, size_of(cur), delta_l)[0],
                 "movement": dist(cur, nxt),     # squared-distance convention
             }
         )
-        cur = nxt
+        cur, delta_l = nxt, delta_next
     raise PerturbationError(f"no convergence within {MAX_PATH_ITERATIONS} iterations")
 
 

@@ -13,6 +13,14 @@ trusted.
 import importlib.util
 from pathlib import Path
 
+from frameflow.capacity import (
+    capacity_report,
+    frame_capacity,
+    matrix_capacity,
+    matrix_capacity_convex,
+)
+from frameflow.core import NonNegMatrix, delta_of, size_of
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "answer_hashes.py"
 
 PINNED = {
@@ -41,3 +49,21 @@ def test_answer_hashes_are_pinned():
     moved = [f"{name}: pinned {PINNED[name]}, got {digest}"
              for name, digest in digests.items() if digest != PINNED[name]]
     assert not moved, "answers moved:\n" + "\n".join(moved)
+
+
+def test_capacity_report_parts_match_the_public_routes():
+    """One pass gives, field for field, what the public routes give on the
+    capacity-strata draws, and the size and delta of the input."""
+    script = _load_script()
+    for family, draws in script.STRATA_DRAWS:
+        for j in draws:
+            obj = script.strata_input(family, j)
+            rep = capacity_report(obj)
+            assert (rep.size, rep.delta) == (size_of(obj), delta_of(obj))
+            if isinstance(obj, NonNegMatrix):
+                assert rep.kind == "matrix"
+                assert rep.result == matrix_capacity(obj)
+                assert rep.convex == matrix_capacity_convex(obj)
+            else:
+                assert (rep.kind, rep.convex) == ("frame", None)
+                assert rep.result == frame_capacity(obj)

@@ -652,11 +652,11 @@ def test_newton_value_ignores_gauge_shift():
     fr = _capped_frame(DESCENT_CAPPED_FRAMES[0])
     for objective, n in [(_matrix_objective(a.entries), a.n),
                          (_frame_objective(fr.vectors, fr.d, fr.n), fr.n)]:
-        _, f0, ok0, _ = _newton(objective, np.zeros(n), GRAD_TOL, NEWTON_MAX_ITERS)
-        assert ok0
+        _, f0, stop0, _ = _newton(objective, np.zeros(n), GRAD_TOL, NEWTON_MAX_ITERS)
+        assert stop0 == "converged"
         for c in (-6.0, 2.5):
-            _, f1, ok1, _ = _newton(objective, np.full(n, c), GRAD_TOL, NEWTON_MAX_ITERS)
-            assert ok1
+            _, f1, stop1, _ = _newton(objective, np.full(n, c), GRAD_TOL, NEWTON_MAX_ITERS)
+            assert stop1 == "converged"
             assert abs(np.exp(f1) - np.exp(f0)) <= 1e-12 * np.exp(f0)
 
 
@@ -712,3 +712,61 @@ def test_convex_route_without_total_support():
     res = matrix_capacity_convex(NonNegMatrix(e))
     assert res.converged and res.iterations <= 50
     assert res.value == pytest.approx(closed, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# why a route stopped
+
+
+def test_newton_stops_at_max_iters_on_zero_capacity_frame():
+    # three vectors on one line: the vectors span R^3, but 3 d = 9 > n = 6
+    # vectors share a line, so the infimum is 0 and lies at infinity
+    vectors = np.random.default_rng(1).standard_normal((6, 3))
+    vectors[1] = 2.0 * vectors[0]
+    vectors[2] = -0.5 * vectors[0]
+    with np.errstate(over="ignore", invalid="ignore"):   # e^y overflows on the way
+        res = frame_capacity(Frame(vectors))
+        rep = capacity.capacity_report(Frame(vectors))
+    assert (res.stop, res.converged, res.iterations) == ("max_iters", False, NEWTON_MAX_ITERS)
+    assert rep.result == res
+
+
+def test_newton_stops_converged_on_matrix_and_frame():
+    for res in (matrix_capacity_convex(_capped_matrix(DESCENT_CAPPED_MATRICES[0])),
+                frame_capacity(_capped_frame(DESCENT_CAPPED_FRAMES[0]))):
+        assert res.method == "convex-descent"
+        assert (res.stop, res.converged) == ("converged", True)
+
+
+def test_newton_stops_in_line_search_when_the_objective_always_rises():
+    # the gradient it reports points downhill, but f = |y|_1 rises along
+    # every step, by more than roundoff down to the smallest step
+    def rising(y):
+        return float(np.abs(y).sum()), np.array([1.0, -1.0]), np.eye(2)
+
+    y, f, stop, iterations = _newton(rising, np.zeros(2), GRAD_TOL, NEWTON_MAX_ITERS)
+    assert (stop, iterations, f) == ("line-search", 0, 0.0)
+    assert np.all(y == 0.0)
+
+
+def test_scaling_routes_carry_their_loops_stop(monkeypatch):
+    assert matrix_capacity(random_matrix(3, 4, 5)).stop == "converged"
+    assert operator_capacity(random_operator(2, 3, 3, 5)).stop == "converged"
+    assert matrix_capacity(random_matrix(3, 4, 5), max_iters=2).stop == "max_iters"
+    # transforms that overflowed: the value falls back to the size
+    monkeypatch.setattr(capacity, "sinkhorn", lambda a, tol, max_iters: (
+        a, (np.full(3, np.inf), np.zeros(3)), IterationReport(10, 0.0, True, "converged")))
+    with np.errstate(all="ignore"):
+        res = matrix_capacity(random_matrix(3, 3, 7))
+    assert (res.method, res.converged, res.stop) == ("bracket-only", False, "non-finite")
+
+
+def test_capacity_report_zero_inputs_skip_the_bracket(monkeypatch):
+    monkeypatch.setattr(capacity, "_bracket", lambda *args: pytest.fail("bracket taken"))
+    rep = capacity.capacity_report(tight_example(3).A)
+    assert rep.result.method == "zero-detected" and rep.convex is rep.result
+    assert rep.dual_relative_gap == 0.0
+    vectors = np.zeros((4, 3))
+    vectors[:, :2] = 1.0
+    rep = capacity.capacity_report(Frame(vectors))
+    assert rep.result.method == "zero-detected" and rep.convex is None

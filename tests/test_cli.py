@@ -20,6 +20,7 @@ from frameflow.capacity import tight_example
 from frameflow.cli import RunConfig, main
 from frameflow.core import Frame, NonNegMatrix, dumps, eps_nearness, from_dict
 from frameflow.dynamics import CSV_HEADER, validation_options
+from frameflow.generate import near_parseval_frame, random_matrix, random_operator
 
 
 def _package_env() -> dict:
@@ -391,6 +392,46 @@ def test_capacity_matrix_report_carries_convex_flag(tmp_path, capsys):
         assert rc == 0
         doc = load_doc(out)
         assert doc["convex_converged"] is True
+
+
+def _counted(monkeypatch, name):
+    """Wrap `name` in every frameflow module that binds it, and return the
+    list of first arguments it is called with."""
+    calls = []
+    original = getattr(frameflow.capacity, name)
+
+    def counted(obj, *args, **kwargs):
+        calls.append(obj)
+        return original(obj, *args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("frameflow") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("obj", [
+    random_matrix(5, 6, 7),
+    random_matrix(5, 6, 7, density=0.7),
+    tight_example(3).A,
+    near_parseval_frame(3, 12, 0.01, 7)[0],
+    random_operator(4, 3, 4, 7),
+], ids=["positive-5x6", "holes-5x6", "tight-3", "frame-3x12", "operator"])
+def test_capacity_op_runs_each_measure_once(tmp_path, capsys, monkeypatch, obj):
+    path = tmp_path / "obj.json"
+    path.write_text(dumps(obj))
+    zero_checks = _counted(monkeypatch, "capacity_zero_check")
+    sizes = _counted(monkeypatch, "size_of")
+    deltas = _counted(monkeypatch, "delta_of")
+    rc, captured = run(capsys, "capacity", "--in", str(path))
+    assert rc == 0, captured.err
+    doc = json.loads(captured.out)
+    assert len(zero_checks) <= 1
+    assert len(deltas) == 1
+    # the input, delta_of's one argument, is sized once; the scaling routes
+    # also size their balanced outputs
+    assert sum(x is deltas[0] for x in sizes) == 1
+    assert (doc["size"], doc["delta"]) == (frameflow.size_of(obj), frameflow.delta_of(obj))
 
 
 @pytest.mark.parametrize("entries, method", [
