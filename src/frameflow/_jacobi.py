@@ -2,7 +2,9 @@
 
 The module and its three public names are those of the cyclic Jacobi solver
 it replaced: the benchmark tracer (``perfbench/tracer.py``) looks up
-``jacobi_eigh``, ``sym_inv_sqrt`` and ``sym_sqrt`` here by name.
+``jacobi_eigh``, ``sym_inv_sqrt`` and ``sym_sqrt`` here by name.  Nothing in
+the package calls ``sym_sqrt``; it stays only for that lookup, until the
+module and the tracer's entries are renamed together.
 """
 
 from __future__ import annotations

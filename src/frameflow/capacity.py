@@ -556,11 +556,15 @@ def frame_weight_minimizer(fr: Frame, tol: float = GRAD_TOL,
     """Positive per-vector weights x_l = e^{y_l} minimizing the diagonal
     capacity program (by the Newton routine of frame_capacity); the
     eigenbasis of sum_l x_l u_l u_l^T at these weights is the natural
-    frame-side basis for the matrix compression."""
+    frame-side basis for the matrix compression.  Raises CapacityError when
+    the vectors do not span or Newton stops short of tol, naming the stop."""
     if _frame_certificate(fr) is not None:
         raise CapacityError("vectors do not span; no interior minimizer")
-    y, _, _, _ = _newton(_frame_objective(fr.vectors, fr.d, fr.n),
-                         np.zeros(fr.n), tol, max_iters)
+    y, _, stop, iterations = _newton(_frame_objective(fr.vectors, fr.d, fr.n),
+                                     np.zeros(fr.n), tol, max_iters)
+    if stop != "converged":
+        raise CapacityError(f"weight minimizer stopped at {stop} after "
+                            f"{iterations} Newton iterations")
     return np.exp(y)
 
 
@@ -651,14 +655,17 @@ def reduce_operator_to_matrix(u: OperatorTuple, x: np.ndarray | None = None) -> 
     infimum that an optimal X attains.
 
     Default X: for an embedded frame, the diagonal weights found by the
-    frame capacity descent; otherwise the identity.
+    frame capacity descent; otherwise, or where that descent finds no
+    minimizer (vectors that do not span, or Newton unconverged), the identity.
     """
     if x is None:
+        x = np.eye(u.n)
         fr = _embedded_frame(u)
-        if fr is not None and _frame_certificate(fr) is None:
-            x = np.diag(frame_weight_minimizer(fr))
-        else:
-            x = np.eye(u.n)
+        if fr is not None:
+            try:
+                x = np.diag(frame_weight_minimizer(fr))
+            except CapacityError:
+                pass
 
     x = np.asarray(x, dtype=float)
     wx, fbasis = jacobi_eigh(x)

@@ -146,19 +146,6 @@ class NonNegMatrix:
 ScalingObject = Union[Frame, OperatorTuple, NonNegMatrix]
 
 
-@dataclass(frozen=True)
-class Measures:
-    """Size / imbalance / nearness summary of one object.
-
-    ``eps`` is None for plain nonnegative matrices (nearness is a spectral
-    notion for frames and operator tuples).
-    """
-
-    s: float
-    delta: float
-    eps: float | None
-
-
 # ---------------------------------------------------------------------------
 # measures
 
@@ -213,13 +200,6 @@ def _gram_half(s: float, gram: np.ndarray, k: int):
     return np.add.reduce(dev * dev, axis=None) / k
 
 
-def measures_of(obj: ScalingObject) -> Measures:
-    eps = None
-    if isinstance(obj, (Frame, OperatorTuple)):
-        eps = eps_nearness(obj)
-    return Measures(s=size_of(obj), delta=delta_of(obj), eps=eps)
-
-
 def dist(a: ScalingObject, b: ScalingObject) -> float:
     """Squared distance: sum of squared entrywise differences."""
     if type(a) is not type(b):
@@ -236,11 +216,6 @@ def dist(a: ScalingObject, b: ScalingObject) -> float:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     diff = x - y
     return float(np.sum(diff * diff))
-
-
-def distance(a: ScalingObject, b: ScalingObject) -> float:
-    """Euclidean distance (square root of ``dist``)."""
-    return float(np.sqrt(dist(a, b)))
 
 
 def eps_nearness(obj: Frame | OperatorTuple) -> float:
@@ -287,12 +262,6 @@ def is_doubly_balanced(obj: ScalingObject, tol: float = 1e-12) -> bool:
     return delta_of(obj) <= tol
 
 
-def is_doubly_stochastic(obj: ScalingObject, tol: float = 1e-12) -> bool:
-    """Doubly balanced AND normalized: size equals m (= d for frames)."""
-    m = obj.d if isinstance(obj, Frame) else obj.m
-    return is_doubly_balanced(obj, tol) and abs(size_of(obj) - m) <= tol * max(1.0, m)
-
-
 # ---------------------------------------------------------------------------
 # conversions
 
@@ -305,14 +274,6 @@ def frame_to_operator(frame: Frame) -> OperatorTuple:
     idx = np.arange(n)
     mats[idx, :, idx] = frame.vectors
     return OperatorTuple(mats)
-
-
-def hadamard_square(a: NonNegMatrix | np.ndarray) -> NonNegMatrix:
-    """Entrywise square of a real matrix, as a NonNegMatrix."""
-    arr = a.entries if isinstance(a, NonNegMatrix) else np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"matrix expected, got shape {arr.shape}")
-    return NonNegMatrix(arr * arr)
 
 
 # ---------------------------------------------------------------------------

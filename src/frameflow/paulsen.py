@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jacobi import sym_sqrt
-from .capacity import KAPPA_RATE, _bracket
-from .core import Frame, NonNegMatrix, delta_of, dist, size_of
+from .capacity import KAPPA_RATE, _bracket, _frame_certificate
+from .core import SCHEMA_VERSION, Frame, NonNegMatrix, delta_of, dist, size_of
 from .dynamics import FlowError, FlowOptions, Trajectory, frame_flow
 from .generate import harmonic_frame
 
@@ -95,7 +94,7 @@ class PathTrace:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "zeta": self.zeta,
             "kappa": self.kappa,
             "seed": self.seed,
@@ -130,16 +129,11 @@ def solve_basic(
     The flow records only its end points.
     """
     d, n = u.d, u.n
-    s = size_of(u)
-    degenerate = (
-        s <= 0.0
-        or u.norms2().min() <= 0.0
-        or np.linalg.slogdet(u.gram())[0] <= 0
-    )
-    if degenerate:
+    if u.norms2().min() <= 0.0 or _frame_certificate(u) is not None:
         v = harmonic_frame(d, n)
         return v, SolveReport(dist(u, v), delta_of(v), "fallback", None)
 
+    s = size_of(u)
     w = Frame(u.vectors * math.sqrt(d / s))
     final, traj = frame_flow(w, target_delta=final_delta, t_max=t_max,
                              opts=SOLVE_FLOW_OPTIONS)
@@ -152,22 +146,6 @@ def solve_basic(
             f"flow ended {traj.status!r}"
         )
     return v, SolveReport(dist(u, v), delta_v, "flow", traj)
-
-
-def diagonalize_right_scaling(r: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Positive diagonal replacement D = (R R^T)^{1/2} for a right scaling.
-
-    V @ R and V @ D share the same outer-product sum, so double
-    stochasticity is preserved.  Raises if (R R^T)^{1/2} is singular or not
-    diagonal to within tol (relative to its largest diagonal entry).
-    """
-    r = np.asarray(r, dtype=float)
-    root = sym_sqrt(r @ r.T)
-    diag = np.diag(root).copy()
-    off = root - np.diag(diag)
-    if np.abs(off).max() > tol * max(diag.max(), 1e-300):
-        raise ValueError("right scaling is not diagonalizable to tolerance")
-    return np.diag(diag)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from frameflow import (
 from frameflow.capacity import (
     GRAD_TOL,
     NEWTON_MAX_ITERS,
+    CapacityError,
     CapacityResult,
     _frame_objective,
     _hopcroft_karp,
@@ -718,17 +719,34 @@ def test_convex_route_without_total_support():
 # why a route stopped
 
 
-def test_newton_stops_at_max_iters_on_zero_capacity_frame():
-    # three vectors on one line: the vectors span R^3, but 3 d = 9 > n = 6
-    # vectors share a line, so the infimum is 0 and lies at infinity
+def _three_on_a_line() -> Frame:
+    # the vectors span R^3, but 3 d = 9 > n = 6 vectors share a line, so the
+    # capacity infimum is 0 and lies at infinity
     vectors = np.random.default_rng(1).standard_normal((6, 3))
     vectors[1] = 2.0 * vectors[0]
     vectors[2] = -0.5 * vectors[0]
+    return Frame(vectors)
+
+
+def test_newton_stops_at_max_iters_on_zero_capacity_frame():
+    fr = _three_on_a_line()
     with np.errstate(over="ignore", invalid="ignore"):   # e^y overflows on the way
-        res = frame_capacity(Frame(vectors))
-        rep = capacity.capacity_report(Frame(vectors))
+        res = frame_capacity(fr)
+        rep = capacity.capacity_report(fr)
     assert (res.stop, res.converged, res.iterations) == ("max_iters", False, NEWTON_MAX_ITERS)
     assert rep.result == res
+
+
+def test_weight_minimizer_raises_where_newton_stops_short():
+    # no weights minimize the program of a zero-capacity frame that spans, so
+    # the minimizer says so, and the reduction takes the identity weight
+    fr = _three_on_a_line()
+    u = frame_to_operator(fr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CapacityError, match="max_iters"):
+            frame_weight_minimizer(fr)
+        a = reduce_operator_to_matrix(u)
+    np.testing.assert_array_equal(a.entries, reduce_operator_to_matrix(u, x=np.eye(6)).entries)
 
 
 def test_newton_stops_converged_on_matrix_and_frame():
