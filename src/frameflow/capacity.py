@@ -217,23 +217,32 @@ def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | No
     """
     m, n = support.shape
     side = m * row_cap
-    empty_rows = np.nonzero(~support.any(axis=1))[0]
-    if empty_rows.size:
-        return {"rows": [int(empty_rows[0]) * row_cap], "cols": list(range(side))}
-    empty_cols = np.nonzero(~support.any(axis=0))[0]
-    if empty_cols.size:
-        return {"rows": list(range(side)), "cols": [int(empty_cols[0]) * col_cap]}
-    adj = [np.flatnonzero(row).tolist() for row in support]
-    cadj = [np.flatnonzero(col).tolist() for col in support.T]
+    # one scan of the support: row-major order leaves both lists ascending
+    adj = [[] for _ in range(m)]
+    cadj = [[] for _ in range(n)]
+    rows, cols = support.nonzero()
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        adj[i].append(j)
+        cadj[j].append(i)
+    if [] in adj:
+        return {"rows": [adj.index([]) * row_cap], "cols": list(range(side))}
+    if [] in cadj:
+        return {"rows": list(range(side)), "cols": [cadj.index([]) * col_cap]}
     spare_r = [row_cap] * m
     spare_c = [col_cap] * n
-    flow = [[0] * n for _ in range(m)]
-    for i in range(m):                  # greedy start
+    flow = [[0] * m for _ in range(n)]  # flow[j][i]: what row i sends column j
+    for i in range(m):                  # greedy start, until the row is spent
+        r = row_cap
         for j in adj[i]:
-            t = min(spare_r[i], spare_c[j])
-            flow[i][j] += t
-            spare_r[i] -= t
-            spare_c[j] -= t
+            c = spare_c[j]
+            if c:
+                t = r if r < c else c
+                flow[j][i] = t
+                spare_c[j] = c - t
+                r -= t
+                if not r:
+                    break
+        spare_r[i] = r
     while True:
         # one breadth-first search from every row with spare capacity;
         # via_col[j] is the row that reached column j, via_row[i] the
@@ -251,8 +260,9 @@ def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | No
                 if spare_c[j]:
                     end = j
                     break
+                into = flow[j]
                 for w in cadj[j]:
-                    if flow[w][j] and not reached[w]:
+                    if into[w] and not reached[w]:
                         reached[w] = True
                         via_row[w] = j
                         queue.append(w)
@@ -267,17 +277,17 @@ def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | No
             if j == -1:
                 t = min(t, spare_r[i])
                 break
-            t = min(t, flow[i][j])
+            t = min(t, flow[j][i])
         spare_c[end] -= t
         j = end
         while True:
             i = via_col[j]
-            flow[i][j] += t
+            flow[j][i] += t
             j = via_row[i]
             if j == -1:
                 spare_r[i] -= t
                 break
-            flow[i][j] -= t
+            flow[j][i] -= t
     # the last search found no spare column, so `queue` holds every row it
     # reached, and it is empty exactly when the flow is perfect
     if not queue:
@@ -285,9 +295,13 @@ def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | No
     near = set()
     for i in queue:
         near.update(adj[i])
-    return {"rows": [b for i in sorted(queue) for b in range(i * row_cap, (i + 1) * row_cap)],
-            "cols": [b for j in range(n) if j not in near
-                     for b in range(j * col_cap, (j + 1) * col_cap)]}
+    lifted_rows, lifted_cols = [], []
+    for i in sorted(queue):
+        lifted_rows += range(i * row_cap, (i + 1) * row_cap)
+    for j in range(n):
+        if j not in near:
+            lifted_cols += range(j * col_cap, (j + 1) * col_cap)
+    return {"rows": lifted_rows, "cols": lifted_cols}
 
 
 def capacity_zero_check(a: NonNegMatrix) -> dict | None:
@@ -298,10 +312,10 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
     rectangle whose every entry is positive returns None at once: its lift
     is an all-ones square, which has a perfect matching.  Any other
     rectangle goes to `_block_witness`, which finds the lift's witness on
-    the input's own support.  A square of side at most 63 is read as one
-    bitmask per row, which gives the empty-line certificates and the
-    adjacency lists without further array work; a larger one is read as
-    arrays.  Both then run Hopcroft-Karp.
+    the input's own support, read in one scan.  A square of side at most 63
+    is read as one bitmask per row, which gives the empty-line certificates
+    and the adjacency lists without further array work; a larger one is
+    read as arrays.  Both then run Hopcroft-Karp.
     """
     support = a.entries > 0.0
     if a.m != a.n:
@@ -530,9 +544,13 @@ def _frame_objective(vecs: np.ndarray, d: int, n: int):
     logd = math.log(d)
 
     def objective(y):
-        w = np.exp(y)
-        gram = (vecs * w[:, None]).T @ vecs
-        sgn, logdet = np.linalg.slogdet(gram)
+        # e^y overflows where the infimum lies at infinity (a zero-capacity
+        # frame that spans), and slogdet of the overflowed Gram is invalid;
+        # both are handled below, so numpy need not warn of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.exp(y)
+            gram = (vecs * w[:, None]).T @ vecs
+            sgn, logdet = np.linalg.slogdet(gram)
         if sgn <= 0 or not math.isfinite(logdet):    # singular, or e^y overflowed
             return math.inf, None, None
         f = logd + logdet / d - float(y.sum()) / n

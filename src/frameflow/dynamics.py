@@ -451,7 +451,8 @@ class _Recorder:
 def _integrate(system, target_delta, t_max, opts: FlowOptions):
     y = system.y0.copy()
     t = 0.0
-    meas = system.measures(y)
+    drift = system.drift(system._state(y))     # the start's, for measures and f
+    meas = system.measures(y, drift)
     s0, delta_cur, speed2 = meas
     if not (math.isfinite(s0) and math.isfinite(delta_cur)):
         raise FlowError("non-finite input")
@@ -469,7 +470,7 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
     steps = rejected_err = rejected_delta = 0
 
     if status is None:
-        fy = system.f(y)
+        fy = system.f(y, drift)
         rate0 = 4.0 * speed2 / delta_cur if delta_cur > 0 else 1.0
         h = min(0.02 / max(rate0, 1e-9), t_max)
 

@@ -133,12 +133,10 @@ def solve_basic(
         v = harmonic_frame(d, n)
         return v, SolveReport(dist(u, v), delta_of(v), "fallback", None)
 
-    s = size_of(u)
-    w = Frame(u.vectors * math.sqrt(d / s))
+    w, _ = _renorm_size(u, d)
     final, traj = frame_flow(w, target_delta=final_delta, t_max=t_max,
                              opts=SOLVE_FLOW_OPTIONS)
-    s_out = size_of(final)
-    v = Frame(final.vectors * math.sqrt(d / s_out))
+    v, _ = _renorm_size(final, d)
     delta_v = delta_of(v)
     if delta_v > 10.0 * final_delta:
         raise FlowError(

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -253,10 +254,11 @@ def _lifted_witness(a):
 
 
 @pytest.mark.parametrize("shape", [(7, 10), (9, 11), (19, 21), (18, 24), (22, 33),
-                                   (5, 6), (7, 9), (4, 6)])
+                                   (5, 6), (7, 9), (4, 6), (6, 5), (6, 4), (21, 19)])
 def test_zero_check_rectangle_matches_lifted_witness(shape, rng, monkeypatch):
     # no lift is built, whatever its side (70, 99, 399, 72 with g = 6, 66
-    # with g = 11, 30, 63, 12 with g = 2): the witness must still equal the
+    # with g = 11, 30, 63, 12 with g = 2, and the tall 30, 12 and 399, whose
+    # row and column capacities swap): the witness must still equal the
     # lift's, index for index; densities from sparse to dense give both
     # outcomes, and forced entries in half the draws rule out the empty-line
     # certificates
@@ -735,6 +737,19 @@ def test_newton_stops_at_max_iters_on_zero_capacity_frame():
         rep = capacity.capacity_report(fr)
     assert (res.stop, res.converged, res.iterations) == ("max_iters", False, NEWTON_MAX_ITERS)
     assert rep.result == res
+
+
+def test_frame_newton_handles_its_overflows_without_warnings():
+    # on the way to the infimum at infinity e^y overflows and slogdet of the
+    # Gram is invalid; the objective reads both as f = inf, so no
+    # RuntimeWarning reaches the caller, and the answer is the one it gave
+    # while numpy still printed them
+    fr = _three_on_a_line()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = capacity.capacity_report(fr).result
+    assert (res.method, res.converged, res.stop) == ("convex-descent", False, "max_iters")
+    assert res.value == float.fromhex("0x1.4a41d57bd3575p-8")     # 0.005039324398081181
 
 
 def test_weight_minimizer_raises_where_newton_stops_short():

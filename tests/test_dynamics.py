@@ -447,12 +447,12 @@ def test_solve_basic_takes_eight_drift_calls_per_step_attempt(monkeypatch):
     traj = report.traj
     attempts = traj.steps + traj.rejected_err + traj.rejected_delta
     assert traj.status == "converged" and traj.rejected_err + traj.rejected_delta > 0
-    # set-up measures and derivative at the start; then per attempt three
-    # stacked evaluations for the first half step and the full step beside
-    # it, one derivative and three evaluations for the second half step, and
-    # the end-of-step drift, shared by its measures and, on an accepted
-    # step, its derivative
-    assert len(calls) == 2 + 8 * attempts
+    # one drift at the start, shared by its measures and derivative; then per
+    # attempt three stacked evaluations for the first half step and the full
+    # step beside it, one derivative and three evaluations for the second
+    # half step, and the end-of-step drift, shared by its measures and, on an
+    # accepted step, its derivative
+    assert len(calls) == 1 + 8 * attempts
     # each state evaluated for a right-hand side counts once
     assert traj.evals == 1 + 10 * attempts + traj.steps
 
