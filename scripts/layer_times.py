@@ -35,8 +35,9 @@ over all of them; a row's figure is the median over its repeats.  Rows:
   newton iteration        one iteration of the convex matrix route on a
                           positive 4x4 matrix, its first objective evaluation
                           included
-  zero check 5x5          capacity_zero_check on a 5x5 pattern with a
-                          perfect matching
+  zero check 5x5          capacity_zero_check on a 5x5 pattern that holds
+                          the diagonal, so it has a perfect matching: the
+                          capacitated matching with both capacities 1
   zero check 5x6 full     capacity_zero_check on a positive 5x6 matrix: a
                           full-support rectangle, decided without its lift
   zero check 5x6 holes    the same on a 5x6 matrix with 30% of its entries
@@ -44,6 +45,11 @@ over all of them; a row's figure is the median over its repeats.  Rows:
                           matching on its 5x6 support
   zero check 19x21 tight  the same on tight_example(10).A, capacity zero:
                           the capacitated matching ends with a Hall witness
+  zero check 400 square   the same on a seeded sparse 400x400 support
+                          (density 3/400, then an entry forced into every
+                          row and column: about five a row), so no line is
+                          empty and the matching runs in full; it has a
+                          perfect matching
   perturb n=500           one perturbation of a near-Parseval 3x500 frame
   cli parse               what cli.main spends on its arguments before it
                           dispatches: the parser and the merged config of
@@ -104,6 +110,11 @@ def _rows(workdir: str) -> list:
     full_rect = random_matrix(5, 6, 7)
     holed_rect = random_matrix(5, 6, 7, density=0.7)
     tight = tight_example(10).A
+    square_rng = np.random.default_rng(7)
+    square = square_rng.random((400, 400)) < 3.0 / 400
+    square[np.arange(400), square_rng.integers(0, 400, 400)] = True
+    square[square_rng.integers(0, 400, 400), np.arange(400)] = True
+    square = NonNegMatrix(square.astype(float))
     wide = near_parseval_frame(3, 500, 0.01, 7)[0]
     gram = frame.gram()
     system = _FrameSystem(frame)
@@ -147,6 +158,7 @@ def _rows(workdir: str) -> list:
         ("zero check 5x6 full", lambda: capacity_zero_check(full_rect), None),
         ("zero check 5x6 holes", lambda: capacity_zero_check(holed_rect), None),
         ("zero check 19x21 tight", lambda: capacity_zero_check(tight), None),
+        ("zero check 400 square", lambda: capacity_zero_check(square), None),
         ("perturb n=500", lambda: perturb(wide, 1e-6, 7), None),
         ("cli parse", parse, None),
         ("capacity op 5x6 full", ops["full"], None),

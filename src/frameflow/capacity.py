@@ -13,8 +13,8 @@ scaling-based route exploits.  Capacity is zero exactly when the support has
 no perfect matching, certified by a Hall-style row/column witness.  For a
 rectangular input that is the support of its tensor lift to a square; the
 zero check never builds that lift.  A rectangle with full support has a
-perfect matching (its lift is all ones), and any other rectangle is decided
-on its own support by a capacitated matching.
+perfect matching (its lift is all ones); every other input, square or
+rectangle, is decided on its own support by one capacitated matching.
 
 `capacity_report` makes one pass over an input: it takes the zero check,
 size, delta and bracket once, feeds them to the private routes (both of
@@ -25,7 +25,6 @@ them for a matrix) and returns one record.  The public routes and
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,76 +104,6 @@ class TightExample:
 # perfect matchings on the support
 
 
-def _hopcroft_karp(adj: list, nl: int, nr: int):
-    """Maximum bipartite matching; returns (match_l, match_r, size, reached).
-    The last search finds no free column, so `reached` lists exactly the rows
-    reachable by alternating paths from free rows.  Plain lists throughout
-    (`adj` too): numpy element reads cost several times more.  The
-    depth-first search keeps its own stack, because an augmenting path can
-    hold more rows than Python's recursion limit allows."""
-    INF = nl + nr + 1
-    match_l = [-1] * nl
-    match_r = [-1] * nr
-    dist = [INF] * nl
-    size = 0
-
-    def bfs() -> bool:
-        q = deque()
-        for u in range(nl):
-            if match_l[u] == -1:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found
-
-    def augment(root: int) -> bool:
-        # the rows of the search, each with its untried columns, one layer
-        # apart; the column that led to a row is the one it is matched to
-        path = [(root, iter(adj[root]))]
-        while path:
-            u, untried = path[-1]
-            for v in untried:
-                w = match_r[v]
-                if w == -1:
-                    for x, _ in reversed(path):
-                        match_r[v] = x
-                        match_l[x], v = v, match_l[x]
-                    return True
-                if dist[w] == dist[u] + 1:
-                    path.append((w, iter(adj[w])))
-                    break
-            else:
-                dist[u] = INF
-                path.pop()
-        return False
-
-    # the first phase, written out: every row sits on layer 0, so each one
-    # takes its first free column
-    for u in range(nl):
-        for v in adj[u]:
-            if match_r[v] == -1:
-                match_l[u] = v
-                match_r[v] = u
-                size += 1
-                break
-    while bfs():
-        for u in range(nl):
-            if match_l[u] == -1 and augment(u):
-                size += 1
-    return match_l, match_r, size, [u for u in range(nl) if dist[u] != INF]
-
-
 def tensor_square(a: NonNegMatrix) -> NonNegMatrix:
     """Lift an m x n matrix to a square one of side mn/gcd(m,n) by tensoring
     with a constant block; size, delta, and capacity are preserved."""
@@ -184,53 +113,45 @@ def tensor_square(a: NonNegMatrix) -> NonNegMatrix:
     return NonNegMatrix(np.kron(a.entries, block))
 
 
-def _set_bits(mask: int) -> list[int]:
-    """Indices of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-# a square's row bitmasks are formed by one int64 product, so they cover up
-# to 63 columns
-_MASK_BITS = 63
-_BIT = 1 << np.arange(_MASK_BITS, dtype=np.int64)
-
-
 def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | None:
     """The Hall witness of the lift of an m x n support, without the lift.
 
-    `tensor_square` repeats row i as the rows i*row_cap .. i*row_cap+row_cap-1
-    and column j as a block of col_cap columns, with row_cap = n/g and
-    col_cap = m/g.  A perfect matching of the lift is a flow of value
-    m*row_cap on the m x n support in which each row sends row_cap, each
-    column takes col_cap and a supported entry carries any amount; each
-    augmenting path pushes its bottleneck.  The rows reachable from rows
-    with spare capacity in the final residual graph, expanded to their
-    blocks, are the rows that alternating paths reach from the lift's free
-    rows: that set is the same for every maximum matching (Dulmage-
-    Mendelsohn), so it is a union of blocks.  Certificates are those that
-    the square route gives on the lift, index for index.
+    `support` is read by its nonzero entries.  `tensor_square` repeats row i
+    as the rows i*row_cap .. i*row_cap+row_cap-1 and column j as a block of
+    col_cap columns, with row_cap = n/g and col_cap = m/g; a square has
+    g = n, so both capacities are 1 and the lift is the square itself.  A
+    perfect matching of the lift is a flow of value m*row_cap on the m x n
+    support in which each row sends row_cap, each column takes col_cap and
+    a supported entry carries any amount; each augmenting path pushes its
+    bottleneck.  The rows reachable from rows with spare capacity in the
+    final residual graph, expanded to their blocks, are the rows that
+    alternating paths reach from the lift's free rows: that set is the same
+    for every maximum matching (Dulmage-Mendelsohn), so it is a union of
+    blocks, and the witness does not depend on the order of the search.
+    The columns are those outside the neighbourhood of those rows.
     """
     m, n = support.shape
     side = m * row_cap
-    # one scan of the support: row-major order leaves both lists ascending
-    adj = [[] for _ in range(m)]
-    cadj = [[] for _ in range(n)]
+    # one scan of the support, in row-major order; the first empty row, else
+    # the first empty column, is a witness on its own
     rows, cols = support.nonzero()
-    for i, j in zip(rows.tolist(), cols.tolist()):
+    rows, cols = rows.tolist(), cols.tolist()
+    covered = set(rows)
+    if len(covered) < m:
+        i = min(set(range(m)) - covered)
+        return {"rows": [i * row_cap], "cols": list(range(side))}
+    covered = set(cols)
+    if len(covered) < n:
+        j = min(set(range(n)) - covered)
+        return {"rows": list(range(side)), "cols": [j * col_cap]}
+    adj = [[] for _ in range(m)]        # each list ascending
+    for i, j in zip(rows, cols):
         adj[i].append(j)
-        cadj[j].append(i)
-    if [] in adj:
-        return {"rows": [adj.index([]) * row_cap], "cols": list(range(side))}
-    if [] in cadj:
-        return {"rows": list(range(side)), "cols": [cadj.index([]) * col_cap]}
     spare_r = [row_cap] * m
     spare_c = [col_cap] * n
-    flow = [[0] * m for _ in range(n)]  # flow[j][i]: what row i sends column j
+    # flow[j][i]: what row i sends column j; only positive amounts are kept,
+    # so the search from a column visits just the rows that feed it
+    flow = [{} for _ in range(n)]
     for i in range(m):                  # greedy start, until the row is spent
         r = row_cap
         for j in adj[i]:
@@ -260,9 +181,8 @@ def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | No
                 if spare_c[j]:
                     end = j
                     break
-                into = flow[j]
-                for w in cadj[j]:
-                    if into[w] and not reached[w]:
+                for w in flow[j]:
+                    if not reached[w]:
                         reached[w] = True
                         via_row[w] = j
                         queue.append(w)
@@ -282,12 +202,17 @@ def _block_witness(support: np.ndarray, row_cap: int, col_cap: int) -> dict | No
         j = end
         while True:
             i = via_col[j]
-            flow[j][i] += t
+            into = flow[j]
+            into[i] = into.get(i, 0) + t
             j = via_row[i]
             if j == -1:
                 spare_r[i] -= t
                 break
-            flow[j][i] -= t
+            into = flow[j]
+            if into[i] == t:
+                del into[i]
+            else:
+                into[i] -= t
     # the last search found no spare column, so `queue` holds every row it
     # reached, and it is empty exactly when the flow is perfect
     if not queue:
@@ -310,50 +235,17 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
     A rectangular input stands for its tensor lift (`tensor_square`), and
     witness indices refer to the lifted object, which is never built.  A
     rectangle whose every entry is positive returns None at once: its lift
-    is an all-ones square, which has a perfect matching.  Any other
-    rectangle goes to `_block_witness`, which finds the lift's witness on
-    the input's own support, read in one scan.  A square of side at most 63
-    is read as one bitmask per row, which gives the empty-line certificates
-    and the adjacency lists without further array work; a larger one is
-    read as arrays.  Both then run Hopcroft-Karp.
+    is an all-ones square, which has a perfect matching.  Every other input,
+    square or rectangle, goes to `_block_witness`, which finds the witness
+    on the input's own support, read in one scan of its nonzero entries:
+    a `NonNegMatrix` holds only finite entries >= 0 (a -0.0 counts as
+    zero), so those are its support.
     """
-    support = a.entries > 0.0
-    if a.m != a.n:
-        if support.all():
-            return None
-        g = math.gcd(a.m, a.n)
-        return _block_witness(support, a.n // g, a.m // g)
-    n = a.n
-
-    # cheap certificates first
-    if n <= _MASK_BITS:
-        rows = support.dot(_BIT[:n]).tolist()
-        if 0 in rows:
-            return {"rows": [rows.index(0)], "cols": list(range(n))}
-        covered = 0
-        for r in rows:
-            covered |= r
-        missing = ~covered & ((1 << n) - 1)
-        if missing:
-            return {"rows": list(range(n)), "cols": [(missing & -missing).bit_length() - 1]}
-        adj = [_set_bits(r) for r in rows]
-    else:
-        empty_rows = np.nonzero(~support.any(axis=1))[0]
-        if empty_rows.size:
-            return {"rows": [int(empty_rows[0])], "cols": list(range(n))}
-        empty_cols = np.nonzero(~support.any(axis=0))[0]
-        if empty_cols.size:
-            return {"rows": list(range(n)), "cols": [int(empty_cols[0])]}
-        adj = [np.flatnonzero(row).tolist() for row in support]
-    _, _, size, rows = _hopcroft_karp(adj, n, n)
-    if size == n:
+    m, n = a.m, a.n
+    if m != n and a.entries.all():
         return None
-    # Hall witness: the rows X' reached from free rows, and as columns Y' the
-    # complement of their neighbourhood; X' x Y' is all zero, |X'| + |Y'| > n
-    seen = set()
-    for u in rows:
-        seen.update(adj[u])
-    return {"rows": rows, "cols": [v for v in range(n) if v not in seen]}
+    g = math.gcd(m, n)
+    return _block_witness(a.entries, n // g, m // g)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from frameflow.capacity import (
     CapacityError,
     CapacityResult,
     _frame_objective,
-    _hopcroft_karp,
     _matrix_objective,
     _newton,
     capacity_bounds,
@@ -217,25 +216,23 @@ def _alternating_witness(support):
 
 
 def test_zero_check_matches_hopcroft_karp_across_sizes(rng):
-    # sides up to 63 read the support as row bitmasks, 64 and up as arrays,
-    # and both then run Hopcroft-Karp; one forced entry per row and column
-    # rules out the empty-line certificates, and densities below log(n)/n
-    # give both outcomes
+    # squares of several sides against the Kuhn search written out above;
+    # one forced entry per row and column rules out the empty-line
+    # certificates, so every draw runs the matching, and densities below
+    # log(n)/n give both outcomes
     for n in (5, 20, 63, 64):
         outcomes = set()
         for _ in range(40):
             support = rng.random((n, n)) < rng.uniform(0.0, 1.0) * np.log(n + 1) / n
             support[np.arange(n), rng.integers(0, n, n)] = True
             support[rng.integers(0, n, n), np.arange(n)] = True
-            adj = [np.flatnonzero(row) for row in support]
-            perfect = _hopcroft_karp(adj, n, n)[2] == n
+            want = _alternating_witness(support)
             cert = capacity_zero_check(NonNegMatrix(support.astype(float)))
-            assert (cert is None) == perfect
-            assert cert == _alternating_witness(support)
+            assert cert == want
             if cert is not None:
                 assert len(cert["rows"]) + len(cert["cols"]) > n
                 assert not support[np.ix_(cert["rows"], cert["cols"])].any()
-            outcomes.add(perfect)
+            outcomes.add(want is None)
         assert outcomes == {True, False}
 
 
@@ -244,13 +241,18 @@ def _no_lift(a):
 
 
 def _lifted_witness(a):
-    """The witness of the materialised lift: an empty line's certificate as
-    the square route gives it, else the alternating witness found by hand."""
-    lifted = tensor_square(a)
-    support = lifted.entries > 0.0
-    if support.any(axis=1).all() and support.any(axis=0).all():
-        return _alternating_witness(support)
-    return capacity_zero_check(lifted)
+    """The witness of the materialised lift, found without the zero check:
+    the first empty row with every column, else the first empty column with
+    every row, else the alternating witness found by hand."""
+    support = tensor_square(a).entries > 0.0
+    side = support.shape[0]
+    empty_rows = np.flatnonzero(~support.any(axis=1)).tolist()
+    if empty_rows:
+        return {"rows": empty_rows[:1], "cols": list(range(side))}
+    empty_cols = np.flatnonzero(~support.any(axis=0)).tolist()
+    if empty_cols:
+        return {"rows": list(range(side)), "cols": empty_cols[:1]}
+    return _alternating_witness(support)
 
 
 @pytest.mark.parametrize("shape", [(7, 10), (9, 11), (19, 21), (18, 24), (22, 33),
@@ -298,8 +300,7 @@ def test_zero_check_rectangle_matches_lifted_witness(shape, rng, monkeypatch):
 
 def test_zero_check_tight_examples(monkeypatch):
     # each gives its lift's certificate, and none builds its lift, neither
-    # the values nor the support, whether its side is at most 63 (k <= 4)
-    # or wider
+    # the values nor the support, whatever its side (3 to 575)
     cases = [tight_example(k).A for k in range(1, 13)]
     expected = [_lifted_witness(a) for a in cases]
     monkeypatch.setattr("frameflow.capacity.tensor_square", _no_lift)
@@ -316,6 +317,18 @@ def test_zero_check_rectangle_keeps_subnormal_entries():
     assert capacity_zero_check(NonNegMatrix([[5e-324, 1.0, 0.0], [0.0, 1.0, 1.0]])) is None
 
 
+def test_zero_check_square_reads_its_support_from_the_entries():
+    # the support is read from the nonzero entries themselves: a subnormal
+    # entry counts, and -0.0 does not
+    only_matching_via_subnormal = [[5e-324, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
+    assert capacity_zero_check(NonNegMatrix(only_matching_via_subnormal)) is None
+    entries = np.ones((3, 3))
+    entries[:, 1] = -0.0
+    a = NonNegMatrix(entries)
+    assert np.signbit(a.entries[:, 1]).all()
+    assert capacity_zero_check(a) == {"rows": [0, 1, 2], "cols": [1]}
+
+
 def _raises(name):
     def fail(*args, **kwargs):
         raise AssertionError(f"the zero check called {name}")
@@ -323,17 +336,18 @@ def _raises(name):
 
 
 def test_zero_check_every_small_rectangle_matches_its_lift(monkeypatch):
-    # every 0/1 support of every shape m != n with m, n <= 6 and mn <= 12
-    # (19,320 supports): the certificate equals the one the square route
-    # gives on the materialised lift, and no lift is built
+    # every 0/1 support of every shape with m, n <= 6 and mn <= 12: 19,320
+    # rectangles and the 530 squares of sides 1 to 3 (a square is its own
+    # lift); the certificate equals the one found by hand on the
+    # materialised lift, and no lift is built
     cases = []
     for m, n in itertools.product(range(1, 7), repeat=2):
-        if m == n or m * n > 12:
+        if m * n > 12:
             continue
         bits = (np.arange(2 ** (m * n))[:, None] >> np.arange(m * n)) & 1
         cases.extend(NonNegMatrix(b.reshape(m, n).astype(float)) for b in bits)
-    assert len(cases) == 19320
-    expected = [capacity_zero_check(tensor_square(a)) for a in cases]
+    assert len(cases) == 19320 + 530
+    expected = [_lifted_witness(a) for a in cases]
     monkeypatch.setattr(np, "kron", _raises("np.kron"))
     assert [capacity_zero_check(a) for a in cases] == expected
 
@@ -356,14 +370,14 @@ def test_zero_check_full_rectangle_skips_lift(rng, monkeypatch):
 
 def test_zero_check_long_augmenting_paths():
     # the reversed triangle's only perfect matching is its anti-diagonal;
-    # Hopcroft-Karp reaches it through augmenting paths of hundreds of rows,
+    # the matching reaches it through augmenting paths of hundreds of rows,
     # more than the recursion limit allows one frame each
     n = 1100
     assert capacity_zero_check(NonNegMatrix(np.tril(np.ones((n, n)))[::-1].copy())) is None
     # a chain: row i holds columns i and i + 1 up to row n - 3, which also
-    # holds column n - 1, and rows n - 2 and n - 1 hold only column 0; the
-    # second search augments along the whole chain, and the last one leaves
-    # a Hall witness of the last two rows
+    # holds column n - 1, and rows n - 2 and n - 1 hold only column 0; one
+    # augmenting path runs along the whole chain, and the search after it
+    # leaves a Hall witness of the last two rows
     support = np.zeros((n, n), dtype=bool)
     support[np.arange(n - 2), np.arange(n - 2)] = True
     support[np.arange(n - 2), np.arange(1, n - 1)] = True
