@@ -30,11 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jacobi import jacobi_eigh
-from .core import Frame, NonNegMatrix, OperatorTuple, delta_of, size_of
-from .discrete_scaling import ScalingError, operator_sinkhorn, sinkhorn
+from .core import Frame, NonNegMatrix, OperatorTuple, delta_of, frame_to_operator, size_of
+from .discrete_scaling import SCALING_MAX_ITERS, ScalingError, operator_sinkhorn, sinkhorn
 
 SCALING_TOL = 1e-12      # the scaling routes stop at delta <= SCALING_TOL * s^2
-SCALING_MAX_ITERS = 100_000
 GRAD_TOL = 1e-10
 ARMIJO_C = 1e-4
 NEWTON_MAX_ITERS = 200
@@ -69,7 +68,7 @@ class CapacityResult:
     converged: bool = True
     iterations: int = 0               # Newton steps (convex routes) or scaling sweeps
     # why the route stopped: converged | max_iters, then line-search (Newton)
-    # or non-finite (scaling); None when zero was detected before it ran
+    # or non-finite | singular (scaling); None if zero was found before it ran
     stop: str | None = None
 
 
@@ -496,8 +495,9 @@ def _operator_scaling(u: OperatorTuple, s: float, bracket: tuple[float, float],
                       tol: float, max_iters: int) -> CapacityResult:
     try:
         v, (left, right), report = operator_sinkhorn(u, tol * s * s, max_iters)
-    except ScalingError as exc:
-        return _zero_result({"reason": str(exc)})
+    except ScalingError:
+        # a Gram too near singular to invert is no proof of zero capacity
+        return CapacityResult(bracket[1], "bracket-only", None, *bracket, False, 0, "singular")
     value = size_of(v) * math.exp(-2.0 * _logabsdet(left) / u.m - 2.0 * _logabsdet(right) / u.n)
     return _scaling_result(value, bracket, report)
 
@@ -549,12 +549,8 @@ def _embedded_frame(u: OperatorTuple) -> Frame | None:
     """Recognize the image of frame_to_operator (U_l supported on column l)."""
     if u.k != u.n:
         return None
-    mask = np.ones((u.k, u.n), dtype=bool)
-    mask[np.arange(u.k), np.arange(u.n)] = False
-    off = u.mats.transpose(0, 2, 1)[mask]         # all columns l' != l
-    if np.any(off != 0.0):
-        return None
-    return Frame(u.mats[np.arange(u.n), :, np.arange(u.n)])
+    fr = Frame(u.mats[np.arange(u.n), :, np.arange(u.n)])
+    return fr if np.array_equal(frame_to_operator(fr).mats, u.mats) else None
 
 
 def reduce_operator_to_matrix(u: OperatorTuple, x: np.ndarray | None = None) -> NonNegMatrix:

@@ -145,6 +145,21 @@ class NonNegMatrix:
 
 ScalingObject = Union[Frame, OperatorTuple, NonNegMatrix]
 
+# each kind's name, the attribute holding its array, and the header of its
+# document: the sizes of the array's axes
+_LAYOUT = {
+    Frame: ("frame", "vectors", ("d", "n")),
+    OperatorTuple: ("operator", "mats", ("m", "n", "k")),
+    NonNegMatrix: ("matrix", "entries", ("m", "n")),
+}
+
+
+def _layout(obj: ScalingObject) -> tuple[str, str, tuple[str, ...]]:
+    try:
+        return _LAYOUT[type(obj)]
+    except KeyError:
+        raise TypeError(f"unsupported object {type(obj).__name__}") from None
+
 
 # ---------------------------------------------------------------------------
 # measures
@@ -204,14 +219,8 @@ def dist(a: ScalingObject, b: ScalingObject) -> float:
     """Squared distance: sum of squared entrywise differences."""
     if type(a) is not type(b):
         raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
-    if isinstance(a, Frame):
-        x, y = a.vectors, b.vectors
-    elif isinstance(a, OperatorTuple):
-        x, y = a.mats, b.mats
-    elif isinstance(a, NonNegMatrix):
-        x, y = a.entries, b.entries
-    else:
-        raise TypeError(f"unsupported object {type(a).__name__}")
+    attr = _layout(a)[1]
+    x, y = getattr(a, attr), getattr(b, attr)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     diff = x - y
@@ -281,48 +290,19 @@ def frame_to_operator(frame: Frame) -> OperatorTuple:
 
 
 def to_dict(obj: ScalingObject) -> dict:
-    if isinstance(obj, Frame):
-        return {
-            "kind": "frame",
-            "d": obj.d,
-            "n": obj.n,
-            "vectors": obj.vectors.tolist(),
-        }
-    if isinstance(obj, OperatorTuple):
-        return {
-            "kind": "operator",
-            "m": obj.m,
-            "n": obj.n,
-            "k": obj.k,
-            "mats": obj.mats.tolist(),
-        }
-    if isinstance(obj, NonNegMatrix):
-        return {
-            "kind": "matrix",
-            "m": obj.m,
-            "n": obj.n,
-            "entries": obj.entries.tolist(),
-        }
-    raise TypeError(f"unsupported object {type(obj).__name__}")
+    kind, attr, header = _layout(obj)
+    return {"kind": kind, **{h: getattr(obj, h) for h in header},
+            attr: getattr(obj, attr).tolist()}
 
 
 def from_dict(data: dict) -> ScalingObject:
     kind = data.get("kind")
-    if kind == "frame":
-        frame = Frame(np.array(data["vectors"], dtype=float))
-        if frame.d != data["d"] or frame.n != data["n"]:
-            raise ValueError("frame header (d, n) disagrees with the vector array")
-        return frame
-    if kind == "operator":
-        op = OperatorTuple(np.array(data["mats"], dtype=float))
-        if (op.m, op.n, op.k) != (data["m"], data["n"], data["k"]):
-            raise ValueError("operator header (m, n, k) disagrees with the array")
-        return op
-    if kind == "matrix":
-        mat = NonNegMatrix(np.array(data["entries"], dtype=float))
-        if (mat.m, mat.n) != (data["m"], data["n"]):
-            raise ValueError("matrix header (m, n) disagrees with the array")
-        return mat
+    for cls, (name, attr, header) in _LAYOUT.items():
+        if name == kind:
+            obj = cls(np.array(data[attr], dtype=float))
+            if tuple(getattr(obj, h) for h in header) != tuple(data[h] for h in header):
+                raise ValueError(f"{kind} header ({', '.join(header)}) disagrees with the array")
+            return obj
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -43,6 +43,8 @@ import numpy as np
 from ._jacobi import sym_inv_sqrt
 from .core import Frame, NonNegMatrix, OperatorTuple, _gram_half, _marginal_half
 
+SCALING_MAX_ITERS = 100_000    # default iteration cap of every scaling loop
+
 # The loops below call np.add.reduce, the ufunc reduction that .sum() and
 # np.sum dispatch to: the same arithmetic, without about 0.7 us of Python
 # per call, and they make several per iteration.
@@ -86,7 +88,7 @@ def _above(half, s: float, tol: float) -> bool:
 
 
 def sinkhorn(
-    a: NonNegMatrix, tol: float = 1e-12, max_iters: int = 100_000
+    a: NonNegMatrix, tol: float = 1e-12, max_iters: int = SCALING_MAX_ITERS
 ) -> tuple[NonNegMatrix, tuple[np.ndarray, np.ndarray], IterationReport]:
     """Alternate row/column normalization of a nonnegative matrix.
 
@@ -129,7 +131,7 @@ def sinkhorn(
 
 
 def operator_sinkhorn(
-    u: OperatorTuple, tol: float = 1e-12, max_iters: int = 100_000
+    u: OperatorTuple, tol: float = 1e-12, max_iters: int = SCALING_MAX_ITERS
 ) -> tuple[OperatorTuple, tuple[np.ndarray, np.ndarray], IterationReport]:
     """Alternate exact left/right normalization of an operator tuple.
 
@@ -176,7 +178,7 @@ def operator_sinkhorn(
 
 
 def frame_alternating(
-    f: Frame, tol: float = 1e-12, max_iters: int = 100_000
+    f: Frame, tol: float = 1e-12, max_iters: int = SCALING_MAX_ITERS
 ) -> tuple[Frame, tuple[np.ndarray, np.ndarray], IterationReport]:
     """Alternating exact-Parseval / equal-norm steps for a frame.
 

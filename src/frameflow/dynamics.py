@@ -62,6 +62,8 @@ import numpy as np
 from .core import Frame, NonNegMatrix, OperatorTuple, ScalingObject
 
 CSV_HEADER = "t,s,delta,ds_dt,dDelta_dt,movement,logdetX,logdetY"
+_COLUMNS = CSV_HEADER.split(",")
+T_MAX = 1e6             # default time limit of every flow
 # s falls a little on every flow (ds/dt = -2 delta), so a balanced flow can
 # end somewhat above the relative target; 4 means s halved or worse while
 # delta sat at the target
@@ -114,7 +116,6 @@ class Trajectory:
     kind: str                  # "operator" | "frame" | "matrix"
     m: int
     n: int
-    k: int
     t: np.ndarray
     s: np.ndarray
     delta: np.ndarray
@@ -125,8 +126,6 @@ class Trajectory:
     logdetY: np.ndarray
     status: str                # "converged" | "collapsed" (shrank to the target) | "t_max"
     transforms: tuple[np.ndarray, np.ndarray]  # final (left, right)
-    scale_max: float
-    scale_min: float
     steps: int                 # accepted steps
     rejected_err: int          # steps rejected by the error estimate
     rejected_delta: int        # steps rejected because delta grew
@@ -148,8 +147,7 @@ class Trajectory:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Render the monitored columns as CSV (17 significant digits)."""
-    cols = (traj.t, traj.s, traj.delta, traj.ds_dt, traj.dDelta_dt,
-            traj.movement, traj.logdetX, traj.logdetY)
+    cols = [getattr(traj, name) for name in _COLUMNS]
     row = ",".join(["%.17g"] * len(cols))
     lines = [row % tuple(r) for r in np.column_stack(cols).tolist()]
     return "\n".join([CSV_HEADER, *lines]) + "\n"
@@ -164,7 +162,7 @@ class _System:
     follows from a system's drift(state) -> (s, L, R, V, speed2): the size,
     the left and right drifts (vectors on a diagonal side), the velocity V
     that state_rate turns into the state's derivative, and the squared speed
-    of the flowed object.  A system sets m, n, k and kind, then calls
+    of the flowed object.  A system sets m, n and kind, then calls
     __init__; it supplies drift and obj.  Packed states may carry leading
     axes (a stack of K states is K x len(y)); drift is written for any
     number of them, so one call evaluates a stack."""
@@ -244,17 +242,12 @@ class _System:
         return tuple(side.copy() if dense else np.exp(side)
                      for side, dense in zip(self._sides(y), self.dense))
 
-    def diag_scalings(self, y):
-        """Entries of the diagonal sides (None if both are dense)."""
-        logs = [side for side, dense in zip(self._sides(y), self.dense) if not dense]
-        return np.exp(np.concatenate(logs)) if logs else None
-
 
 class _OperatorSystem(_System):
     kind = "operator"
 
     def __init__(self, op: OperatorTuple):
-        self.k, self.m, self.n = op.k, op.m, op.n
+        self.m, self.n = op.m, op.n
         self.eye_m, self.eye_n = np.eye(self.m), np.eye(self.n)
         super().__init__(op.mats, True, True)
 
@@ -277,7 +270,6 @@ class _FrameSystem(_System):
     def __init__(self, fr: Frame):
         self.n, self.d = fr.n, fr.d
         self.m = self.d          # left dimension of the embedding
-        self.k = self.n          # embedded tuple length
         self.eye_d = np.eye(self.d)
         super().__init__(fr.vectors, True, False)
 
@@ -303,7 +295,6 @@ class _MatrixSystem(_System):
 
     def __init__(self, mat: NonNegMatrix):
         self.m, self.n = mat.m, mat.n
-        self.k = 0
         self.support = np.flatnonzero(mat.entries > 0.0)   # flat (row-major) indices
         super().__init__(np.log(mat.entries.ravel()[self.support]), False, False)
 
@@ -462,10 +453,6 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
     rec = _Recorder(opts.max_samples, opts.record_states)
     rec.add_point(system, t, y, meas)
 
-    scalings = system.diag_scalings(y)
-    scale_max = float(scalings.max()) if scalings is not None else math.nan
-    scale_min = float(scalings.min()) if scalings is not None else math.nan
-
     status = "converged" if delta_cur <= target_delta else None
     steps = rejected_err = rejected_delta = 0
 
@@ -512,10 +499,6 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         t += h
         delta_cur = meas[1]
         steps += 1
-        scalings = system.diag_scalings(y)
-        if scalings is not None:
-            scale_max = max(scale_max, float(scalings.max()))
-            scale_min = min(scale_min, float(scalings.min()))
         if delta_cur <= target_delta:
             collapsed = delta_cur * s0 * s0 > COLLAPSE_FACTOR * target_delta * meas[0] ** 2
             status = "collapsed" if collapsed else "converged"
@@ -532,13 +515,9 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         kind=system.kind,
         m=system.m,
         n=system.n,
-        k=system.k,
-        t=rows[:, 0], s=rows[:, 1], delta=rows[:, 2], ds_dt=rows[:, 3],
-        dDelta_dt=rows[:, 4], movement=rows[:, 5], logdetX=rows[:, 6],
-        logdetY=rows[:, 7],
+        **dict(zip(_COLUMNS, rows.T)),
         status=status,
         transforms=system.transforms(y),
-        scale_max=scale_max, scale_min=scale_min,
         steps=steps, rejected_err=rejected_err, rejected_delta=rejected_delta,
         evals=system.evals,
         states=rec.states,
@@ -549,7 +528,7 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
 def operator_flow(
     u0: OperatorTuple,
     target_delta: float | None = None,
-    t_max: float = 1e6,
+    t_max: float = T_MAX,
     opts: FlowOptions | None = None,
 ) -> tuple[OperatorTuple, Trajectory]:
     """Flow an operator tuple until delta <= target_delta (default
@@ -560,7 +539,7 @@ def operator_flow(
 def frame_flow(
     f0: Frame,
     target_delta: float | None = None,
-    t_max: float = 1e6,
+    t_max: float = T_MAX,
     opts: FlowOptions | None = None,
 ) -> tuple[Frame, Trajectory]:
     """Frame version of the flow; right scaling is diagonal throughout."""
@@ -570,7 +549,7 @@ def frame_flow(
 def matrix_flow(
     m0sq: NonNegMatrix,
     target_delta: float | None = None,
-    t_max: float = 1e6,
+    t_max: float = T_MAX,
     opts: FlowOptions | None = None,
 ) -> tuple[NonNegMatrix, Trajectory]:
     """Flow the squared-entry matrix (the input IS the squared object)."""

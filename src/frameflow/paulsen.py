@@ -23,7 +23,7 @@ import numpy as np
 
 from .capacity import KAPPA_RATE, _bracket, _frame_certificate
 from .core import SCHEMA_VERSION, Frame, NonNegMatrix, delta_of, dist, size_of
-from .dynamics import FlowError, FlowOptions, Trajectory, frame_flow
+from .dynamics import T_MAX, FlowError, FlowOptions, Trajectory, frame_flow
 from .generate import harmonic_frame
 
 GRAM_SCHMIDT_DROP = 1e-12
@@ -33,6 +33,7 @@ MAX_PATH_ITERATIONS = 60
 MAX_RETRIES = 20
 STRONG_RATE_DENOM = 32000.0
 PSEUDORANDOM_BETA = 1e-9
+BASIC_FINAL_DELTA = 3e-17           # solve_basic's default target imbalance
 # the solvers read only the end points of their flows
 SOLVE_FLOW_OPTIONS = FlowOptions(record_samples=False)
 
@@ -117,8 +118,8 @@ class SolveReport:
 
 def solve_basic(
     u: Frame,
-    final_delta: float = 3e-17,
-    t_max: float = 1e6,
+    final_delta: float = BASIC_FINAL_DELTA,
+    t_max: float = T_MAX,
 ) -> tuple[Frame, SolveReport]:
     """Move a frame to an exactly doubly stochastic one nearby.
 
@@ -313,7 +314,7 @@ def solve_smoothed(
     kappa: float = 1e-3,
     final_delta: float = 1e-10,
     seed: int = 0,
-    t_max: float = 1e6,
+    t_max: float = T_MAX,
 ) -> tuple[Frame, PathTrace]:
     """Perturb/flow/rescale path that halves the imbalance every iteration.
 
@@ -343,7 +344,7 @@ def solve_smoothed(
     cur, _ = _renorm_size(u, d)
     delta_l = delta0 = delta_of(cur)
     if delta0 > d / 16.0:
-        v, report = solve_basic(u, final_delta=min(final_delta, 3e-17), t_max=t_max)
+        v, report = solve_basic(u, final_delta=min(final_delta, BASIC_FINAL_DELTA), t_max=t_max)
         trace.downgraded = True
         trace.records.append(
             {"l": 0, "delta_before": delta0, "delta_after": report.delta_final}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from frameflow import (
     Frame,
     NonNegMatrix,
+    OperatorTuple,
     capacity,
     delta_of,
     frame_to_operator,
@@ -23,6 +24,7 @@ from frameflow.capacity import (
     NEWTON_MAX_ITERS,
     CapacityError,
     CapacityResult,
+    _embedded_frame,
     _frame_objective,
     _matrix_objective,
     _newton,
@@ -470,6 +472,8 @@ def test_frame_capacity_subspace_zero():
     vectors[:, :2] = np.random.default_rng(0).standard_normal((5, 2))
     res = frame_capacity(Frame(vectors))
     assert res.value == 0.0
+    with pytest.raises(CapacityError, match="do not span"):
+        frame_weight_minimizer(Frame(vectors))
 
 
 def test_frame_capacity_matches_flow_limit():
@@ -522,6 +526,23 @@ def test_operator_capacity_bracket(rng):
         assert lo - 1e-9 <= res.value <= s + 1e-9 * max(1.0, s)
 
 
+@pytest.mark.parametrize("mats, true_value", [
+    ([np.diag([1.0, 1e-7])], 2e-7),         # invertible, but its Gram is below the cut
+    ([[[1.0, 0.0], [0.0, 0.0]]] * 2, 0.0),  # an exact kernel
+], ids=["near-singular", "exact-kernel"])
+def test_operator_singular_gram_is_bracket_only(mats, true_value):
+    # a Gram that operator Sinkhorn cannot invert proves nothing of zero
+    # capacity: the route reports the input's bracket, unconverged
+    u = OperatorTuple(mats)
+    lower, upper = capacity_bounds(u)
+    res = operator_capacity(u)
+    assert (res.method, res.converged, res.stop, res.certificate) == (
+        "bracket-only", False, "singular", None)
+    assert (res.value, res.lower, res.upper, res.iterations) == (upper, lower, upper, 0)
+    assert lower <= true_value <= upper
+    assert capacity.capacity_report(u).result == res
+
+
 # ---------------------------------------------------------------------------
 # operator -> matrix reduction
 
@@ -537,6 +558,19 @@ def test_reduction_identity_on_embedding():
     fr = Frame(vectors)
     a = reduce_operator_to_matrix(frame_to_operator(fr), x=np.eye(6))
     np.testing.assert_allclose(a.entries, fr.vectors.T**2, rtol=1e-9, atol=1e-12)
+
+
+def test_embedded_frame_recognised_only_on_the_embedding():
+    fr = random_frame(3, 5, 8)
+    assert _embedded_frame(frame_to_operator(fr)).vectors.tobytes() == fr.vectors.tobytes()
+    # a k = n tuple with one entry off its column is no embedding, and the
+    # reduction takes the identity weight
+    mats = frame_to_operator(fr).mats.copy()
+    mats[0, 1, 2] = 0.5
+    u = OperatorTuple(mats)
+    assert _embedded_frame(u) is None
+    np.testing.assert_array_equal(reduce_operator_to_matrix(u).entries,
+                                  reduce_operator_to_matrix(u, x=np.eye(5)).entries)
 
 
 def test_reduction_preserves_size_and_delta(rng):

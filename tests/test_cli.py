@@ -18,7 +18,8 @@ import frameflow
 from frameflow import checks
 from frameflow.capacity import tight_example
 from frameflow.cli import RunConfig, main
-from frameflow.core import Frame, NonNegMatrix, dumps, eps_nearness, from_dict
+from frameflow.core import (Frame, NonNegMatrix, OperatorTuple, dumps, eps_nearness,
+                           from_dict, save_json)
 from frameflow.dynamics import CSV_HEADER, validation_options
 from frameflow.generate import near_parseval_frame, random_matrix, random_operator
 
@@ -354,6 +355,19 @@ def test_capacity_zero_certificate_surfaces(tmp_path, capsys):
     assert doc["certificate"] is not None
 
 
+def test_capacity_singular_operator_is_bracket_only(tmp_path, capsys):
+    # diag(1, 1e-7) is invertible, with capacity 2e-7, but its Gram is too
+    # near singular to scale: the report keeps the bracket and claims no zero
+    obj = tmp_path / "op.json"
+    out = tmp_path / "cap.json"
+    save_json(OperatorTuple([np.diag([1.0, 1e-7])]), obj)
+    rc, _ = run(capsys, "capacity", "--in", str(obj), "--out", str(out))
+    assert rc == 0
+    doc = load_doc(out)
+    assert (doc["method"], doc["converged"], doc["certificate"]) == ("bracket-only", False, None)
+    assert doc["lower"] <= 2e-7 <= doc["upper"] == doc["value"]
+
+
 def test_capacity_exact_frame(tmp_path, capsys):
     obj = tmp_path / "frame.json"
     out = tmp_path / "cap.json"
@@ -633,3 +647,24 @@ def test_console_script_smoke(tmp_path):
     proc = frameflow_cmd()
     assert proc.returncode == 1
     assert "usage error" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# README experiment scripts
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (["basic_distance_table.py", "--d", "2", "--n", "4", "--trials", "2"],
+     "   0.0300    0.02972   3.015e-04   3.028e-04   4.756e+01   6.36e-06"),
+    (["smoothed_demo.py", "--n", "40", "--quiet-warnings"],
+     "result: iterations=20 size=3 delta=8.016e-11 dist=3.1234e-02 total_movement=2.1718e-02"),
+    (["rate_experiment.py", "--m", "2", "--n", "4", "--trials", "2"],
+     "(size s = 0.283496; a verified rate mu certifies cap >= s - 2*delta0/mu)"),
+], ids=["basic_distance_table", "smoothed_demo", "rate_experiment"])
+def test_experiment_script_smoke(argv, last_line):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == last_line

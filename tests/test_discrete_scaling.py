@@ -49,6 +49,12 @@ def test_sinkhorn_diagonal_hand_iteration():
     assert delta_of(b) <= 1e-24
 
 
+def test_sinkhorn_zero_row_rejected():
+    bad = np.array([[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ScalingError, match="zero row"):
+        sinkhorn(NonNegMatrix(bad))
+
+
 def test_sinkhorn_zero_column_rejected():
     bad = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ScalingError):
