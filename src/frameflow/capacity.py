@@ -18,8 +18,10 @@ rectangle, is decided on its own support by one capacitated matching.
 
 `capacity_report` makes one pass over an input: it takes the zero check,
 size, delta and bracket once, feeds them to the private routes (both of
-them for a matrix) and returns one record.  The public routes and
-`capacity_bounds` are thin wrappers over the same private routes.
+them for a matrix) and returns one record; `frame_capacity` and
+`operator_capacity` return its result.  The routes read their tolerances
+and iteration caps from the constants below; only `matrix_capacity` takes a
+`tol`.
 """
 
 from __future__ import annotations
@@ -310,14 +312,13 @@ def _scaling_result(value: float, bracket: tuple[float, float], report) -> Capac
 
 
 def _matrix_scaling(a: NonNegMatrix, s: float, bracket: tuple[float, float],
-                    tol: float, max_iters: int) -> CapacityResult:
-    b, (x, y), report = sinkhorn(a, tol * s * s, max_iters)
+                    tol: float) -> CapacityResult:
+    b, (x, y), report = sinkhorn(a, tol * s * s, SCALING_MAX_ITERS)
     value = size_of(b) * math.exp(-_logabsdet(x) / a.m - _logabsdet(y) / a.n)
     return _scaling_result(value, bracket, report)
 
 
-def matrix_capacity(a: NonNegMatrix, tol: float = SCALING_TOL,
-                    max_iters: int = SCALING_MAX_ITERS) -> CapacityResult:
+def matrix_capacity(a: NonNegMatrix, tol: float = SCALING_TOL) -> CapacityResult:
     """Scaling route: balance with sinkhorn to delta <= tol * s^2, then undo
     the diagonal scalings; at balance the capacity equals the size, so the
     estimate is s(B) * (prod x)^{-1/m} (prod y)^{-1/n}, clamped at s because
@@ -326,7 +327,7 @@ def matrix_capacity(a: NonNegMatrix, tol: float = SCALING_TOL,
     if cert is not None:
         return _zero_result(cert)
     s = size_of(a)
-    return _matrix_scaling(a, s, _bracket(a, s, delta_of(a)), tol, max_iters)
+    return _matrix_scaling(a, s, _bracket(a, s, delta_of(a)), tol)
 
 
 def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
@@ -377,11 +378,10 @@ def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
     return y, f, "converged", iterations
 
 
-def _convex(objective, n: int, bracket: tuple[float, float], tol: float,
-            max_iters: int) -> CapacityResult:
+def _convex(objective, n: int, bracket: tuple[float, float]) -> CapacityResult:
     """A convex route's result: exp of the minimum that Newton finds from
-    y = 0, flagged unconverged unless max|grad f| <= tol at the end."""
-    _, f, stop, iterations = _newton(objective, np.zeros(n), tol, max_iters)
+    y = 0, flagged unconverged unless max|grad f| <= GRAD_TOL at the end."""
+    _, f, stop, iterations = _newton(objective, np.zeros(n), GRAD_TOL, NEWTON_MAX_ITERS)
     return CapacityResult(math.exp(f), "convex-descent", None, *bracket,
                           stop == "converged", iterations, stop)
 
@@ -409,17 +409,16 @@ def _matrix_objective(mat: np.ndarray):
     return objective
 
 
-def matrix_capacity_convex(a: NonNegMatrix, tol: float = GRAD_TOL,
-                           max_iters: int = NEWTON_MAX_ITERS) -> CapacityResult:
+def matrix_capacity_convex(a: NonNegMatrix) -> CapacityResult:
     """Convex route: minimize
         f(y) = log m + (1/m) sum_i log((A e^y)_i) - (1/n) sum_j y_j
     from y = 0 by gauge-fixed damped Newton; the capacity is exp(f*).  Kept
     independent of the scaling route so the two can cross-check each other.
-    `converged` is False when max|grad f| > tol at the end."""
+    `converged` is False when max|grad f| > GRAD_TOL at the end."""
     cert = capacity_zero_check(a)
     if cert is not None:
         return _zero_result(cert)
-    return _convex(_matrix_objective(a.entries), a.n, capacity_bounds(a), tol, max_iters)
+    return _convex(_matrix_objective(a.entries), a.n, capacity_bounds(a))
 
 
 # ---------------------------------------------------------------------------
@@ -460,41 +459,35 @@ def _frame_certificate(fr: Frame) -> dict | None:
     return {"reason": "vectors do not span"}
 
 
-def frame_weight_minimizer(fr: Frame, tol: float = GRAD_TOL,
-                           max_iters: int = NEWTON_MAX_ITERS) -> np.ndarray:
+def frame_weight_minimizer(fr: Frame) -> np.ndarray:
     """Positive per-vector weights x_l = e^{y_l} minimizing the diagonal
     capacity program (by the Newton routine of frame_capacity); the
     eigenbasis of sum_l x_l u_l u_l^T at these weights is the natural
     frame-side basis for the matrix compression.  Raises CapacityError when
-    the vectors do not span or Newton stops short of tol, naming the stop."""
+    the vectors do not span or Newton stops short of GRAD_TOL, naming the
+    stop."""
     if _frame_certificate(fr) is not None:
         raise CapacityError("vectors do not span; no interior minimizer")
     y, _, stop, iterations = _newton(_frame_objective(fr.vectors, fr.d, fr.n),
-                                     np.zeros(fr.n), tol, max_iters)
+                                     np.zeros(fr.n), GRAD_TOL, NEWTON_MAX_ITERS)
     if stop != "converged":
         raise CapacityError(f"weight minimizer stopped at {stop} after "
                             f"{iterations} Newton iterations")
     return np.exp(y)
 
 
-def frame_capacity(fr: Frame, tol: float = GRAD_TOL,
-                   max_iters: int = NEWTON_MAX_ITERS) -> CapacityResult:
+def frame_capacity(fr: Frame) -> CapacityResult:
     """Diagonal-weight capacity of a frame:
         g(y) = log d + (1/d) logdet(sum_l e^{y_l} u_l u_l^T) - (1/n) sum_l y_l,
     minimized from y = 0 by gauge-fixed damped Newton; value exp(g*).  A
     frame whose vectors do not span R^d has capacity zero (the determinant
-    vanishes for every weight)."""
-    cert = _frame_certificate(fr)
-    if cert is not None:
-        return _zero_result(cert)
-    return _convex(_frame_objective(fr.vectors, fr.d, fr.n), fr.n, capacity_bounds(fr),
-                   tol, max_iters)
+    vanishes for every weight).  The result of `capacity_report`."""
+    return capacity_report(fr).result
 
 
-def _operator_scaling(u: OperatorTuple, s: float, bracket: tuple[float, float],
-                      tol: float, max_iters: int) -> CapacityResult:
+def _operator_scaling(u: OperatorTuple, s: float, bracket: tuple[float, float]) -> CapacityResult:
     try:
-        v, (left, right), report = operator_sinkhorn(u, tol * s * s, max_iters)
+        v, (left, right), report = operator_sinkhorn(u, SCALING_TOL * s * s, SCALING_MAX_ITERS)
     except ScalingError:
         # a Gram too near singular to invert is no proof of zero capacity
         return CapacityResult(bracket[1], "bracket-only", None, *bracket, False, 0, "singular")
@@ -502,14 +495,13 @@ def _operator_scaling(u: OperatorTuple, s: float, bracket: tuple[float, float],
     return _scaling_result(value, bracket, report)
 
 
-def operator_capacity(u: OperatorTuple, tol: float = SCALING_TOL,
-                      max_iters: int = SCALING_MAX_ITERS) -> CapacityResult:
+def operator_capacity(u: OperatorTuple) -> CapacityResult:
     """Scaling route for operator tuples, with the always-reported bracket
     [s - mn sqrt(delta/2), s].  The balanced point estimate uses the exact
     transform rule cap(L U R) = det(L)^{2/m} det(R)^{2/n} cap(U), so it is
-    valid (an upper estimate) even when the iteration stops early."""
-    s = size_of(u)
-    return _operator_scaling(u, s, _bracket(u, s, delta_of(u)), tol, max_iters)
+    valid (an upper estimate) even when the iteration stops early.  The
+    result of `capacity_report`."""
+    return capacity_report(u).result
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +511,8 @@ def operator_capacity(u: OperatorTuple, tol: float = SCALING_TOL,
 def capacity_report(obj) -> CapacityReport:
     """Capacity of a matrix, frame or operator tuple in one pass: the zero
     check, size_of, delta_of and the bracket each run once, and feed the
-    routes of the public functions with their default tolerances (both
-    routes for a matrix) and the record.  A zero-capacity input skips the
-    bracket and the routes."""
+    routes (both of them for a matrix) and the record.  A zero-capacity
+    input skips the bracket and the routes."""
     s, delta = size_of(obj), delta_of(obj)
     if isinstance(obj, NonNegMatrix):
         cert = capacity_zero_check(obj)
@@ -529,9 +520,8 @@ def capacity_report(obj) -> CapacityReport:
             zero = _zero_result(cert)
             return CapacityReport("matrix", s, delta, zero, zero, 0.0)
         bracket = _bracket(obj, s, delta)
-        res = _matrix_scaling(obj, s, bracket, SCALING_TOL, SCALING_MAX_ITERS)
-        convex = _convex(_matrix_objective(obj.entries), obj.n, bracket,
-                         GRAD_TOL, NEWTON_MAX_ITERS)
+        res = _matrix_scaling(obj, s, bracket, SCALING_TOL)
+        convex = _convex(_matrix_objective(obj.entries), obj.n, bracket)
         gap = abs(res.value - convex.value) / max(res.value, convex.value, 1e-300)
         return CapacityReport("matrix", s, delta, res, convex, gap)
     if isinstance(obj, Frame):
@@ -539,10 +529,9 @@ def capacity_report(obj) -> CapacityReport:
         if cert is not None:
             return CapacityReport("frame", s, delta, _zero_result(cert))
         return CapacityReport("frame", s, delta, _convex(
-            _frame_objective(obj.vectors, obj.d, obj.n), obj.n, _bracket(obj, s, delta),
-            GRAD_TOL, NEWTON_MAX_ITERS))
-    return CapacityReport("operator", s, delta, _operator_scaling(
-        obj, s, _bracket(obj, s, delta), SCALING_TOL, SCALING_MAX_ITERS))
+            _frame_objective(obj.vectors, obj.d, obj.n), obj.n, _bracket(obj, s, delta)))
+    return CapacityReport("operator", s, delta,
+                          _operator_scaling(obj, s, _bracket(obj, s, delta)))
 
 
 def _embedded_frame(u: OperatorTuple) -> Frame | None:

@@ -301,11 +301,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
-    # one pass (`capacity_report`): the zero check, size, delta and bracket
-    # run once and feed both matrix routes.  The zero check returns at once
-    # on a rectangle with full support and otherwise runs one capacitated
-    # matching on the support; a zero result skips the routes and reports
-    # convex_value 0.0 and gap 0.0
     rep = capacity_report(_load_object(cfg))
     res = rep.result
     doc = {

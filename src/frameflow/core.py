@@ -233,30 +233,15 @@ def eps_nearness(obj: Frame | OperatorTuple) -> float:
     the right; for frames the right side is the vector norms against d/n).
     """
     if isinstance(obj, Frame):
-        d, n = obj.d, obj.n
-        w, _ = jacobi_eigh(obj.gram())
-        norms2 = obj.norms2()
-        target = d / n
-        viol = (
-            1.0 - w[0],
-            w[-1] - 1.0,
-            1.0 - norms2.min() / target,
-            norms2.max() / target - 1.0,
-        )
-        return float(max(0.0, *viol))
-    if isinstance(obj, OperatorTuple):
-        m, n = obj.m, obj.n
-        wl, _ = jacobi_eigh(obj.left_gram())
-        wr, _ = jacobi_eigh(obj.right_gram())
-        target = m / n
-        viol = (
-            1.0 - wl[0],
-            wl[-1] - 1.0,
-            1.0 - wr[0] / target,
-            wr[-1] / target - 1.0,
-        )
-        return float(max(0.0, *viol))
-    raise TypeError(f"eps_nearness is defined for frames and operator tuples, not {type(obj).__name__}")
+        left, right, target = obj.gram(), obj.norms2(), obj.d / obj.n
+    elif isinstance(obj, OperatorTuple):
+        left, right, target = obj.left_gram(), jacobi_eigh(obj.right_gram())[0], obj.m / obj.n
+    else:
+        raise TypeError("eps_nearness is defined for frames and operator tuples, "
+                        f"not {type(obj).__name__}")
+    w, _ = jacobi_eigh(left)
+    return float(max(0.0, 1.0 - w[0], w[-1] - 1.0,
+                     1.0 - right.min() / target, right.max() / target - 1.0))
 
 
 def is_doubly_balanced(obj: ScalingObject, tol: float = 1e-12) -> bool:

@@ -58,8 +58,11 @@ class ScalingError(RuntimeError):
 class IterationReport:
     iterations: int
     final_delta: float
-    converged: bool
-    stop: str | None = None     # converged | non-finite | max_iters; None if built by hand
+    stop: str                   # converged | non-finite | max_iters
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def _report(iterations: int, delta: float, tol: float, transforms) -> IterationReport:
@@ -73,7 +76,7 @@ def _report(iterations: int, delta: float, tol: float, transforms) -> IterationR
         stop = "non-finite"
     else:
         stop = "max_iters"
-    return IterationReport(iterations, float(delta), stop == "converged", stop)
+    return IterationReport(iterations, float(delta), stop)
 
 
 def _above(half, s: float, tol: float) -> bool:

@@ -627,13 +627,14 @@ def test_overflowed_transforms_fall_back_to_size(monkeypatch):
     # operator Sinkhorn never balances this tuple; by 10000 iterations its
     # transforms have overflowed and their log-determinants are NaN
     u = random_operator(2, 3, 5, (17, 24))
+    monkeypatch.setattr(capacity, "SCALING_MAX_ITERS", 10_000)
     with np.errstate(all="ignore"):
-        res = operator_capacity(u, max_iters=10_000)
+        res = operator_capacity(u)
     assert (res.value, res.method, res.converged) == (size_of(u), "bracket-only", False)
     # the matrix route, handed transforms that overflowed the same way
     a = random_matrix(3, 3, 7)
     monkeypatch.setattr(capacity, "sinkhorn", lambda a, tol, max_iters: (
-        a, (np.full(3, np.inf), np.zeros(3)), IterationReport(10, 0.0, True)))
+        a, (np.full(3, np.inf), np.zeros(3)), IterationReport(10, 0.0, "converged")))
     with np.errstate(all="ignore"):
         res = matrix_capacity(a)
     assert (res.value, res.method, res.converged) == (size_of(a), "bracket-only", False)
@@ -722,7 +723,7 @@ FULL_SUPPORT_2X6 = [
 ]
 
 
-def test_convex_route_converges_or_says_so_on_full_support_2x6():
+def test_convex_route_converges_or_says_so_on_full_support_2x6(monkeypatch):
     a = NonNegMatrix(np.array(FULL_SUPPORT_2X6))
     res = matrix_capacity_convex(a)
     ref = matrix_capacity(a)
@@ -730,7 +731,8 @@ def test_convex_route_converges_or_says_so_on_full_support_2x6():
     assert res.converged and res.iterations <= 50
     assert abs(res.value - ref.value) <= 1e-10 * ref.value
     # cut short, the route reports it and stays inside the bracket
-    short = matrix_capacity_convex(a, max_iters=2)
+    monkeypatch.setattr(capacity, "NEWTON_MAX_ITERS", 2)
+    short = matrix_capacity_convex(a)
     assert not short.converged and short.iterations == 2
     assert short.lower - 1e-12 <= short.value <= short.upper + 1e-12
 
@@ -833,10 +835,11 @@ def test_newton_stops_in_line_search_when_the_objective_always_rises():
 def test_scaling_routes_carry_their_loops_stop(monkeypatch):
     assert matrix_capacity(random_matrix(3, 4, 5)).stop == "converged"
     assert operator_capacity(random_operator(2, 3, 3, 5)).stop == "converged"
-    assert matrix_capacity(random_matrix(3, 4, 5), max_iters=2).stop == "max_iters"
+    monkeypatch.setattr(capacity, "SCALING_MAX_ITERS", 2)
+    assert matrix_capacity(random_matrix(3, 4, 5)).stop == "max_iters"
     # transforms that overflowed: the value falls back to the size
     monkeypatch.setattr(capacity, "sinkhorn", lambda a, tol, max_iters: (
-        a, (np.full(3, np.inf), np.zeros(3)), IterationReport(10, 0.0, True, "converged")))
+        a, (np.full(3, np.inf), np.zeros(3)), IterationReport(10, 0.0, "converged")))
     with np.errstate(all="ignore"):
         res = matrix_capacity(random_matrix(3, 3, 7))
     assert (res.method, res.converged, res.stop) == ("bracket-only", False, "non-finite")
