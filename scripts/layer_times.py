@@ -3,10 +3,23 @@
 capacity and flow code, on fixed seeded inputs.
 
     PYTHONPATH=src python scripts/layer_times.py [--repeats 21] [--json FILE]
+        [--against DIR]
 
 Each row is timed in batches of calls sized to take about 20 ms.  The rows
 take turns, one batch each per repeat, so a drift in machine speed spreads
-over all of them; a row's figure is the median over its repeats.  Rows:
+over all of them; a row's figure is the median over its repeats.
+
+With --against DIR, a second copy of the package is imported from
+DIR/src/frameflow (a checkout of another commit) under the module name
+frameflow_against, and every row is built from both copies.  Each repeat
+times the two sides' batches of a row back to back, the side that goes
+first alternating between repeats, so both run in one process under the
+same machine speed.  Each row then gives both medians, the median over the
+repeats of the ratio of the two batches (this tree over DIR), and the share
+of repeats in which this tree's batch was the faster.  Whole processes of
+unchanged code can differ by up to 2x on a busy 2-core machine, so a
+difference between two commits is read from the paired columns, not from
+two separate runs.  Rows:
 
   delta_of frame 12x3     the imbalance of a near-Parseval 3x12 frame
   delta_of matrix 6x6     the imbalance of a random 6x6 nonnegative matrix
@@ -35,6 +48,10 @@ over all of them; a row's figure is the median over its repeats.  Rows:
   newton iteration        one iteration of the convex matrix route on a
                           positive 4x4 matrix, its first objective evaluation
                           included
+  NonNegMatrix 5x5        the constructor on the float array of the pattern
+                          of `zero check 5x5`: checked as a list
+  NonNegMatrix 19x21      the constructor on the entries of
+                          tight_example(10): checked by numpy reductions
   zero check 5x5          capacity_zero_check on a 5x5 pattern that holds
                           the diagonal, so it has a perfect matching: the
                           capacitated matching with both capacities 1
@@ -66,28 +83,44 @@ is printed beside them; it should match between two commits compared.
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
 import statistics
+import sys
 import tempfile
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
-from frameflow import cli
-from frameflow._jacobi import jacobi_eigh
-from frameflow.capacity import _matrix_objective, _newton, capacity_zero_check, tight_example
-from frameflow.core import NonNegMatrix, delta_of, eps_nearness, save_json
-from frameflow.discrete_scaling import frame_alternating, operator_sinkhorn, sinkhorn
-from frameflow.dynamics import _FrameSystem, _double_step, _rk4
-from frameflow.generate import near_parseval_frame, random_frame, random_matrix, random_operator
-from frameflow.paulsen import perturb
-
 BATCH_S = 0.02
+AGAINST = "frameflow_against"
+MODULES = ("_jacobi", "capacity", "cli", "core", "discrete_scaling", "dynamics",
+           "generate", "paulsen")
 
 
-def _cli_op(argv: list):
+def load_copy(src: str, name: str = AGAINST):
+    """Import the package at src/frameflow as a second copy under `name`.
+
+    Its modules import each other relatively, so they load as `name.core`,
+    `name.capacity` and so on, and sys.modules["frameflow"] is untouched."""
+    root = os.path.join(src, "frameflow")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(root, "__init__.py"), submodule_search_locations=[root])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _modules(package: str) -> SimpleNamespace:
+    return SimpleNamespace(**{m: importlib.import_module(f"{package}.{m}") for m in MODULES})
+
+
+def _cli_op(cli, argv: list):
     """A call that runs one in-process CLI op, its report sent to a string."""
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -96,8 +129,18 @@ def _cli_op(argv: list):
     return call
 
 
-def _rows(workdir: str) -> list:
-    """(name, call, iterations per call or None)."""
+def _rows(ff: SimpleNamespace, workdir: str) -> list:
+    """(name, call, iterations per call or None), built from the modules of
+    one copy of the package."""
+    cli, jacobi_eigh, perturb = ff.cli, ff._jacobi.jacobi_eigh, ff.paulsen.perturb
+    NonNegMatrix, delta_of, eps_nearness = ff.core.NonNegMatrix, ff.core.delta_of, ff.core.eps_nearness
+    capacity_zero_check, tight_example = ff.capacity.capacity_zero_check, ff.capacity.tight_example
+    _matrix_objective, _newton = ff.capacity._matrix_objective, ff.capacity._newton
+    sinkhorn, operator_sinkhorn = ff.discrete_scaling.sinkhorn, ff.discrete_scaling.operator_sinkhorn
+    frame_alternating = ff.discrete_scaling.frame_alternating
+    _FrameSystem, _double_step, _rk4 = ff.dynamics._FrameSystem, ff.dynamics._double_step, ff.dynamics._rk4
+    near_parseval_frame, random_frame = ff.generate.near_parseval_frame, ff.generate.random_frame
+    random_matrix, random_operator = ff.generate.random_matrix, ff.generate.random_operator
     frame = near_parseval_frame(3, 12, 0.01, 7)[0]
     matrix = random_matrix(6, 6, 7)
     sparse = NonNegMatrix(matrix.entries * (np.arange(36).reshape(6, 6) % 5 != 0))
@@ -106,10 +149,12 @@ def _rows(workdir: str) -> list:
     operator = random_operator(4, 3, 4, 7)
     gaussian = random_frame(3, 12, 7)
     positive = NonNegMatrix(np.random.default_rng(7).uniform(0.05, 1.0, (4, 4)))
-    pattern = NonNegMatrix((np.random.default_rng(11).random((5, 5)) < 0.6) | np.eye(5, dtype=bool))
+    pattern_data = ((np.random.default_rng(11).random((5, 5)) < 0.6) | np.eye(5, dtype=bool)).astype(float)
+    pattern = NonNegMatrix(pattern_data)
     full_rect = random_matrix(5, 6, 7)
     holed_rect = random_matrix(5, 6, 7, density=0.7)
     tight = tight_example(10).A
+    tight_data = np.array(tight.entries)
     square_rng = np.random.default_rng(7)
     square = square_rng.random((400, 400)) < 3.0 / 400
     square[np.arange(400), square_rng.integers(0, 400, 400)] = True
@@ -128,8 +173,8 @@ def _rows(workdir: str) -> list:
     ops = {}
     for name, obj in (("full", full_rect), ("holes", holed_rect)):
         path = os.path.join(workdir, f"{name}.json")
-        save_json(obj, path)
-        ops[name] = _cli_op(["capacity", "--in", path])
+        ff.core.save_json(obj, path)
+        ops[name] = _cli_op(cli, ["capacity", "--in", path])
 
     def parse():
         parser = cli._make_parser()
@@ -154,6 +199,8 @@ def _rows(workdir: str) -> list:
         ("operator-sinkhorn iter", lambda: operator_sinkhorn(operator, 0.0, 20), op_iters),
         ("frame-alternating iter", lambda: frame_alternating(gaussian, 1e-21), frame_iters),
         ("newton iteration", lambda: _newton(objective, np.zeros(4), 0.0, 1), newton_iters),
+        ("NonNegMatrix 5x5", lambda: NonNegMatrix(pattern_data), None),
+        ("NonNegMatrix 19x21", lambda: NonNegMatrix(tight_data), None),
         ("zero check 5x5", lambda: capacity_zero_check(pattern), None),
         ("zero check 5x6 full", lambda: capacity_zero_check(full_rect), None),
         ("zero check 5x6 holes", lambda: capacity_zero_check(holed_rect), None),
@@ -174,29 +221,63 @@ def _batch_size(call) -> int:
     return calls
 
 
+def _per_call_us(call, size: int, iters) -> float:
+    start = time.perf_counter()
+    for _ in range(size):
+        call()
+    return (time.perf_counter() - start) / size / (iters or 1) * 1e6
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeats", type=int, default=21)
     ap.add_argument("--json", help="also write {row: median us per call} here")
+    ap.add_argument("--against", metavar="DIR",
+                    help="also time every row on the package in DIR/src, in the same process")
     args = ap.parse_args()
 
+    packages = ["frameflow"]
+    if args.against:
+        load_copy(os.path.join(args.against, "src"))
+        packages.append(AGAINST)
     with tempfile.TemporaryDirectory() as workdir:
-        rows = _rows(workdir)
+        sides = []
+        for package in packages:
+            os.mkdir(os.path.join(workdir, package))
+            sides.append(_rows(_modules(package), os.path.join(workdir, package)))
+        rows = sides[0]
+        if [r[0] for r in sides[-1]] != [r[0] for r in rows]:
+            raise SystemExit("the two copies build different rows")
+        # one batch size per row, so both sides time the same number of calls
         sizes = [_batch_size(call) for _, call, _ in rows]
-        samples = [[] for _ in rows]
-        for _ in range(args.repeats):
-            for (_, call, iters), size, out in zip(rows, sizes, samples):
-                start = time.perf_counter()
-                for _ in range(size):
-                    call()
-                out.append((time.perf_counter() - start) / size / (iters or 1) * 1e6)
+        samples = [[[] for _ in rows] for _ in sides]
+        for repeat in range(args.repeats):
+            order = list(range(len(sides)))
+            if repeat % 2:
+                order.reverse()
+            for i, size in enumerate(sizes):
+                for side in order:
+                    _, call, iters = sides[side][i]
+                    samples[side][i].append(_per_call_us(call, size, iters))
 
-    medians = {}
-    print(f"{'layer':<24} {'us/call':>9} {'iters':>6}")
-    for (name, _, iters), out in zip(rows, samples):
-        medians[name] = round(statistics.median(out), 3)
-        print(f"{name:<24} {medians[name]:>9.2f} {iters if iters else '':>6}")
+    medians = {name: round(statistics.median(out), 3) for (name, _, _), out in zip(rows, samples[0])}
+    if not args.against:
+        print(f"{'layer':<24} {'us/call':>9} {'iters':>6}")
+        for name, _, iters in rows:
+            print(f"{name:<24} {medians[name]:>9.2f} {iters if iters else '':>6}")
+    else:
+        print(f"{'layer':<24} {'us/call':>9} {'against':>9} {'ratio':>6} {'won':>5} {'iters':>11}")
+        for i, (name, _, iters) in enumerate(rows):
+            pairs = list(zip(samples[0][i], samples[1][i]))
+            # the median of the per-repeat ratios: a drift in machine speed
+            # between repeats cancels within each pair
+            ratio = statistics.median(a / b for a, b in pairs)
+            won = sum(a < b for a, b in pairs) / len(pairs)
+            their_iters = sides[1][i][2]
+            counts = "" if not iters else (f"{iters}" if iters == their_iters else f"{iters}/{their_iters}")
+            print(f"{name:<24} {medians[name]:>9.2f} {statistics.median(samples[1][i]):>9.2f}"
+                  f" {ratio:>6.3f} {won:>5.0%} {counts:>11}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(medians, fh, indent=1, sort_keys=True)

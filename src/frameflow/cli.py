@@ -204,7 +204,7 @@ def _load_object(cfg: RunConfig):
         return load_json(cfg.infile)
     except OSError as exc:
         raise UsageError(f"cannot read input: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed object JSON: {exc}") from exc
 
 

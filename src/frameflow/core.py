@@ -32,6 +32,27 @@ SCHEMA_VERSION = "1"
 # clamped to zero; anything more negative is rejected
 NEG_CLAMP = 1e-15
 
+# inputs of at most this many entries are checked as a Python list, which
+# beats numpy's reductions up to about 6 x 6; larger ones use the reductions
+_LIST_CHECK_MAX = 36
+
+
+def _finite_min(arr: np.ndarray) -> float:
+    """The smallest entry of arr (0.0 if it has none); raises ValueError
+    unless every entry is finite."""
+    if arr.size <= _LIST_CHECK_MAX:
+        vals = arr.ravel().tolist()
+        # a NaN or an inf makes the sum non-finite; a finite sum needs
+        # every entry finite.  An overflowing sum falls through.
+        if math.isfinite(sum(vals)):
+            return min(vals) if vals else 0.0
+    # arr is not empty here.  NaN propagates through minimum and maximum,
+    # so both extremes are finite exactly when every entry is
+    low = np.minimum.reduce(arr, axis=None)
+    if not (math.isfinite(low) and math.isfinite(np.maximum.reduce(arr, axis=None))):
+        raise ValueError("entries must be finite")
+    return low
+
 
 def _as_float_array(a, name: str) -> np.ndarray:
     arr = np.array(a, dtype=float)
@@ -102,23 +123,19 @@ class OperatorTuple:
         return np.einsum("kmi,kmj->ij", self.mats, self.mats)
 
 
-@dataclass(frozen=True)
 class NonNegMatrix:
-    """Entrywise-nonnegative m x n matrix.
+    """Entrywise-nonnegative m x n matrix, immutable, with a read-only
+    ``entries`` array.
 
     Tiny negative entries (>= -1e-15, i.e. roundoff from upstream float work)
     are clamped to exactly zero; anything more negative raises.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        # NaN propagates through min and max, so both extremes are finite
-        # exactly when every entry is; no boolean mask is built
-        low = arr.min(initial=0.0)
-        if not (math.isfinite(low) and math.isfinite(arr.max(initial=0.0))):
-            raise ValueError("entries must be finite")
+    def __init__(self, entries):
+        arr = np.array(entries, dtype=float)
+        low = _finite_min(arr)
         if arr.ndim != 2 or min(arr.shape) < 1:
             raise ValueError(f"entries must be (m, n) with m, n >= 1, got {arr.shape}")
         if low < -NEG_CLAMP:
@@ -127,6 +144,15 @@ class NonNegMatrix:
             arr = np.where(arr < 0.0, 0.0, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NonNegMatrix is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"NonNegMatrix is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return NonNegMatrix, (self.entries,)
 
     @property
     def m(self) -> int:
@@ -281,10 +307,12 @@ def to_dict(obj: ScalingObject) -> dict:
 
 
 def from_dict(data: dict) -> ScalingObject:
+    if not isinstance(data, dict):
+        raise ValueError(f"a document must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
     for cls, (name, attr, header) in _LAYOUT.items():
         if name == kind:
-            obj = cls(np.array(data[attr], dtype=float))
+            obj = cls(data[attr])
             if tuple(getattr(obj, h) for h in header) != tuple(data[h] for h in header):
                 raise ValueError(f"{kind} header ({', '.join(header)}) disagrees with the array")
             return obj

@@ -4,6 +4,8 @@ and byte determinism."""
 
 import dataclasses
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -219,6 +221,11 @@ def test_malformed_input_file(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"kind": "sphere", "r": 1}))
     assert run(capsys, "capacity", "--in", str(wrong))[0] == 1
+    for text in ("[1, 2]", '"matrix"', "[" * 100_000 + "]" * 100_000,
+                 json.dumps({"kind": "matrix", "m": 2, "n": 2, "entries": [[1, {}], [1, 1]]})):
+        wrong.write_text(text)
+        rc, captured = run(capsys, "capacity", "--in", str(wrong))
+        assert rc == 1 and captured.err.startswith("usage error: malformed object JSON: ")
 
 
 def test_solve_rejects_non_frame_input(tmp_path, capsys):
@@ -676,3 +683,26 @@ def test_experiment_script_smoke(argv, last_line):
                           env=_package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == last_line
+
+
+def test_layer_times_loads_a_second_copy_without_touching_frameflow():
+    spec = importlib.util.spec_from_file_location("layer_times", SCRIPTS / "layer_times.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def loaded(prefix):
+        return {name: mod for name, mod in sys.modules.items()
+                if name == prefix or name.startswith(prefix + ".")}
+
+    before = loaded("frameflow")
+    try:
+        script.load_copy(str(Path(frameflow.__file__).resolve().parent.parent), "frameflow_copy")
+        core = importlib.import_module("frameflow_copy.core")
+        capacity = importlib.import_module("frameflow_copy.capacity")
+        assert loaded("frameflow") == before and sys.modules["frameflow"] is frameflow
+        assert core.NonNegMatrix is not NonNegMatrix
+        assert capacity.NonNegMatrix is core.NonNegMatrix
+        assert capacity.capacity_zero_check(core.NonNegMatrix(np.eye(3))) is None
+    finally:
+        for name in loaded("frameflow_copy"):
+            del sys.modules[name]

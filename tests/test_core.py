@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import json
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -380,6 +381,69 @@ def test_negative_noise_clamped_to_zero():
 def test_genuinely_negative_entry_rejected():
     with pytest.raises(ValueError):
         NonNegMatrix(np.array([[1.0, -1e-12]]))
+
+
+_NOT_FINITE = "entries must be finite"
+
+# values written into the first entries of a matrix of halves, and the
+# entries the constructor keeps there or the message of its ValueError
+_ENTRY_CASES = {
+    "subnormal": ([5e-324, 2.5e-310], [5e-324, 2.5e-310]),
+    "negative zero": ([-0.0], [-0.0]),
+    "clamped": ([-1e-16], [0.0]),
+    "negative zero beside a clamped entry": ([-0.0, -1e-16], [-0.0, 0.0]),
+    "rejected": ([-1e-14], "negative entry -1.000e-14 below the -1e-15 clamp window"),
+    "+inf": ([np.inf], _NOT_FINITE),
+    "-inf": ([-np.inf], _NOT_FINITE),
+    "nan": ([np.nan], _NOT_FINITE),
+    "overflowing sum": ([1e308, 1e308], [1e308, 1e308]),
+    "overflowing negative sum": ([-1e308, -1e308],
+                                 "negative entry -1.000e+308 below the -1e-15 clamp window"),
+}
+
+
+def _constructor_cases():
+    # a 5x5 input is checked as a list, a 19x21 one by numpy reductions
+    for m, n in ((5, 5), (19, 21)):
+        for name, (values, kept) in _ENTRY_CASES.items():
+            raw = np.full((m, n), 0.5)
+            raw.flat[:len(values)] = values
+            expected = kept
+            if not isinstance(kept, str):
+                expected = raw.copy()
+                expected.flat[:len(kept)] = kept
+            yield pytest.param(raw, expected, id=f"{name} {m}x{n}")
+    shape_error = "entries must be (m, n) with m, n >= 1, got "
+    yield pytest.param(np.zeros((0, 3)), shape_error + "(0, 3)", id="0x3")
+    yield pytest.param(np.zeros((3, 0)), shape_error + "(3, 0)", id="3x0")
+    yield pytest.param([1.0, 2.0], shape_error + "(2,)", id="1-d")
+    yield pytest.param(np.ones((2, 2, 2)), shape_error + "(2, 2, 2)", id="3-d")
+    yield pytest.param([1.0, np.nan], _NOT_FINITE, id="1-d nan")
+    yield pytest.param([[1, 0], [2, 3]], np.array([[1.0, 0.0], [2.0, 3.0]]), id="int")
+    yield pytest.param(np.eye(2, dtype=bool), np.eye(2), id="bool")
+
+
+@pytest.mark.parametrize("raw, expected", _constructor_cases())
+def test_constructor_keeps_entries_or_raises(raw, expected):
+    """Finiteness is checked before shape, -0.0 is kept and a clamped entry
+    becomes +0.0; the kept entries are read-only and cannot be replaced."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            NonNegMatrix(raw)
+        assert str(err.value) == expected
+        return
+    a = NonNegMatrix(raw)
+    assert a.entries.dtype == np.float64
+    assert np.array_equal(a.entries, expected)
+    assert np.array_equal(np.signbit(a.entries), np.signbit(expected))
+    assert not a.entries.flags.writeable
+    with pytest.raises(ValueError):
+        a.entries[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        a.entries = expected
+    with pytest.raises(AttributeError):
+        del a.entries
+    assert pickle.loads(pickle.dumps(a)).entries.tobytes() == a.entries.tobytes()
 
 
 # ---------------------------------------------------------------------------
