@@ -69,8 +69,9 @@ two separate runs.  Rows:
                           perfect matching
   perturb n=500           one perturbation of a near-Parseval 3x500 frame
   cli parse               what cli.main spends on its arguments before it
-                          dispatches: the parser and the merged config of
-                          `capacity --in X`
+                          dispatches: the merged config of `capacity --in X`,
+                          read by cli._parse_argv, or by the argparse parser
+                          of cli._make_parser in a copy that still has one
   capacity op 5x6 full    one whole in-process `frameflow capacity` op on
                           the positive 5x6 matrix of the zero check rows
                           (read from a JSON file, report to a string): the
@@ -177,8 +178,10 @@ def _rows(ff: SimpleNamespace, workdir: str) -> list:
         ops[name] = _cli_op(cli, ["capacity", "--in", path])
 
     def parse():
-        parser = cli._make_parser()
-        return cli._build_config(parser.parse_args(argv), parser)
+        if hasattr(cli, "_make_parser"):
+            parser = cli._make_parser()
+            return cli._build_config(parser.parse_args(argv), parser)
+        return cli._build_config(*cli._parse_argv(argv))
 
     sink_iters = sinkhorn(sparse, 0.0, 100)[2].iterations
     capped_iters = sinkhorn(triangular, capped_tol, 2000)[2].iterations

@@ -51,7 +51,7 @@ class CapacityError(RuntimeError):
 def _logabsdet(a: np.ndarray) -> float:
     """log|det| of a transform given as its diagonal vector or as a matrix."""
     if a.ndim == 1:
-        return float(np.sum(np.log(np.abs(a))))
+        return float(np.add.reduce(np.log(np.abs(a))))
     # an exactly diagonal matrix (operator Sinkhorn's right side on an
     # embedded frame) takes the diagonal sum, not slogdet, only to keep the
     # reported values byte-identical: slogdet differs in the last bits
@@ -272,7 +272,7 @@ def _bracket(obj, s: float, delta: float) -> tuple[float, float]:
         lower = s - m * n * root
         if m == n:
             lower = max(lower, s - n * root)
-        alpha = float(obj.entries.min())
+        alpha = float(np.minimum.reduce(obj.entries, axis=None))
         # at delta = 0 the lower bound is s already, and the rate bound
         # would divide 0 by an alpha * n that can underflow to 0
         if alpha > 0.0 and 0.0 < delta <= 0.1 and abs(s - m) <= 1e-9 * max(1.0, m):
@@ -398,7 +398,7 @@ def _matrix_objective(mat: np.ndarray):
     def objective(y):
         w = np.exp(y)
         rows = mat @ w
-        if (rows <= 0.0).any() or not np.isfinite(rows).all():
+        if not (np.minimum.reduce(rows) > 0.0 and np.maximum.reduce(rows) < math.inf):
             return math.inf, None, None
         f = (logm + float(np.add.reduce(np.log(rows), axis=None)) / m
              - float(np.add.reduce(y, axis=None)) / n)

@@ -9,8 +9,10 @@ commands:
   check     run the full invariant suite, or revalidate a saved trace
 
 Each command accepts only the flags it reads, and any other flag is a usage
-error.  A --config JSON file may set any field, so one file can serve
-several commands; flags given on the command line override it.
+error.  Flags may come before or after the command, a unique prefix names a
+flag (--smooth), and a value may follow its flag as the next argument or
+after "=" (--seed=3).  A --config JSON file may set any field, so one file
+can serve several commands; flags given on the command line override it.
 
 Exit codes: 0 success, 1 usage (bad flags, unreadable/malformed input),
 2 numeric failure, 3 invariant violation.  Outputs are deterministic for a
@@ -20,11 +22,10 @@ trials are seeded by (seed, trial-index) and run in index order.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -58,11 +59,6 @@ from . import checks as checks_mod
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 @dataclasses.dataclass
@@ -133,13 +129,99 @@ _READS = {
 }
 
 
-def _build_config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
+# flag -> (the RunConfig field it sets, how it reads its value): a type
+# converts the argument after the flag, or the text after "="; anything else
+# is the constant the flag stores.  --config names the file merged under the
+# flags.  An unread flag is refused in this order.
+_FLAGS = {
+    "--seed": ("seed", int), "--d": ("d", int), "--n": ("n", int), "--m": ("m", int),
+    "--k": ("k", int), "--trials": ("trials", int),
+    "--eps": ("eps", float), "--sigma2": ("sigma2", float), "--tol": ("tol", float),
+    "--zeta": ("zeta", float), "--kappa": ("kappa", float),
+    "--final-delta": ("final_delta", float),
+    "--kind": ("kind", str),
+    "--basic": ("mode", "basic"), "--smoothed": ("mode", "smoothed"),
+    "--in": ("infile", str), "--out": ("out", str),
+    "--config": ("config", str),
+}
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether arg is a flag rather than a value, as argparse reads it: it
+    starts with a dash and is not a lone dash, a negative number, or text
+    with a space before any "="."""
+    return (arg[:1] == "-" and arg != "-" and not _NEGATIVE.match(arg)
+            and " " not in arg.partition("=")[0])
+
+
+def _flag_named(name: str) -> str:
+    """The flag that name spells in full or as the prefix of one long flag."""
+    if name in _FLAGS:
+        return name
+    if name == "-h":
+        return "--help"
+    long = name.startswith("--") and len(name) > 2
+    matches = [flag for flag in (*_FLAGS, "--help") if flag.startswith(name)] if long else []
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    if not matches:
+        raise UsageError(f"unrecognized arguments: {name}")
+    return matches[0]
+
+
+def _help() -> str:
+    flags = [f"{flag} {field.upper()}" if isinstance(read, type) else flag
+             for flag, (field, read) in _FLAGS.items()]
+    return f"{__doc__ or ''}\nflags:\n  -h, --help\n" + "".join(f"  {f}\n" for f in flags)
+
+
+def _parse_argv(argv) -> tuple[str, dict]:
+    """One pass over argv: the command and {field: value} of the flags
+    given, the last one winning.  -h or --help prints the help and exits 0."""
+    command, given = None, {}
+    args = iter(argv)
+    for arg in args:
+        if not _is_flag(arg):
+            if command is not None:
+                raise UsageError(f"unrecognized arguments: {arg}")
+            if arg not in _COMMANDS:
+                raise UsageError(f"argument command: invalid choice: {arg!r} "
+                                 f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            command = arg
+            continue
+        name, eq, value = arg.partition("=")
+        flag = _flag_named(name)
+        field, read = _FLAGS.get(flag, (None, None))       # None: --help
+        if not isinstance(read, type):
+            if eq:
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            if field is None:
+                sys.stdout.write(_help())
+                raise SystemExit(0)
+            given[field] = read
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or _is_flag(value):
+                raise UsageError(f"argument {flag}: expected one argument")
+        try:
+            given[field] = read(value)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid {read.__name__} value: {value!r}") from None
+    if command is None:
+        raise UsageError("the following arguments are required: command")
+    return command, given
+
+
+def _build_config(command: str, given: dict) -> RunConfig:
     """Merge config file and flags, validate the values, then refuse any flag
     the command does not read, so a bad value fails on its own message."""
     merged = dict(_DEFAULTS)
-    if args.config:
+    config = given.pop("config", None)
+    if config:
         try:
-            with open(args.config) as fh:
+            with open(config) as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
@@ -151,18 +233,14 @@ def _build_config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update(given)
     cfg = RunConfig(**merged)
     cfg.validate()
-    reads = _READS[args.command] + ("out",)
-    for action in parser._actions:
-        if action.dest in _DEFAULTS and action.dest not in reads \
-                and getattr(args, action.dest) is not None:
-            flags = [a.option_strings[0] for a in parser._actions if a.dest == action.dest]
-            raise UsageError(f"{args.command} takes no {' or '.join(flags)}")
+    reads = _READS[command] + ("out",)
+    for field, _ in _FLAGS.values():
+        if field in given and field not in reads:
+            flags = [flag for flag, (name, _) in _FLAGS.items() if name == field]
+            raise UsageError(f"{command} takes no {' or '.join(flags)}")
     return cfg
 
 
@@ -176,15 +254,18 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+_REPORT_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _dump_report(doc: dict) -> str:
     """The report as strict JSON.  JSON has no token for a non-finite float,
     so a report holding one (an overflowed measure) is dumped again with
     each such value as null; a finite report is dumped once."""
     doc.setdefault("schema_version", SCHEMA_VERSION)
     try:
-        return json.dumps(doc, sort_keys=True, allow_nan=False)
+        return _REPORT_JSON.encode(doc)
     except ValueError:
-        return json.dumps(_finite_or_null(doc), sort_keys=True, allow_nan=False)
+        return _REPORT_JSON.encode(_finite_or_null(doc))
 
 
 def _finite_or_null(value):
@@ -204,7 +285,8 @@ def _load_object(cfg: RunConfig):
         return load_json(cfg.infile)
     except OSError as exc:
         raise UsageError(f"cannot read input: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
         raise UsageError(f"malformed object JSON: {exc}") from exc
 
 
@@ -364,33 +446,11 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _make_parser() -> _Parser:
-    """The one parser of the process, built on first use and shared by every
-    `main` call after it.  Parsing leaves it unchanged: `parse_args` returns
-    a fresh namespace and `_build_config` only reads `_actions`."""
-    parser = _Parser(prog="frameflow", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=_COMMANDS)
-    for flag in ("--seed", "--d", "--n", "--m", "--k", "--trials"):
-        parser.add_argument(flag, type=int)
-    for flag in ("--eps", "--sigma2", "--tol", "--zeta", "--kappa", "--final-delta"):
-        parser.add_argument(flag, type=float)
-    parser.add_argument("--kind", help="frame|operator|matrix|tight")
-    parser.add_argument("--basic", dest="mode", action="store_const", const="basic")
-    parser.add_argument("--smoothed", dest="mode", action="store_const", const="smoothed")
-    parser.add_argument("--in", dest="infile", help="input object JSON")
-    parser.add_argument("--out")
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _build_config(args, parser)
-        return _COMMANDS[args.command](cfg)
+        command, given = _parse_argv(sys.argv[1:] if argv is None else argv)
+        cfg = _build_config(command, given)
+        return _COMMANDS[command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

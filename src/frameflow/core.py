@@ -199,7 +199,7 @@ def size_of(obj: ScalingObject) -> float:
     if isinstance(obj, OperatorTuple):
         return float(np.einsum("kmn,kmn->", obj.mats, obj.mats))
     if isinstance(obj, NonNegMatrix):
-        return float(obj.entries.sum())
+        return float(np.add.reduce(obj.entries, axis=None))
     raise TypeError(f"unsupported object {type(obj).__name__}")
 
 
@@ -223,7 +223,7 @@ def delta_of(obj: ScalingObject) -> float:
         s = float(np.trace(bl))
         return float(_gram_half(s, bl, obj.m) + _gram_half(s, obj.right_gram(), obj.n))
     if isinstance(obj, NonNegMatrix):
-        s = float(obj.entries.sum())
+        s = float(np.add.reduce(obj.entries, axis=None))
         return float(_marginal_half(s, obj.row_sums(), obj.m)
                      + _marginal_half(s, obj.col_sums(), obj.n))
     raise TypeError(f"unsupported object {type(obj).__name__}")

@@ -469,13 +469,15 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         y_half, f_half, y_two, y_full = _double_step(system, y, fy, h)
         if not np.isfinite(y_two).all():
             raise FlowError(f"non-finite state at t={t:.6g}")
-        drift_two = system.drift(system._state(y_two))
-        meas_two = system.measures(y_two, drift_two)
         err = (float(np.maximum.reduce(np.abs(y_two - y_full), axis=None))
                / max(1.0, float(np.maximum.reduce(np.abs(y), axis=None))))
         factor = max(0.2, min(2.0, 0.9 * (opts.step_err_tol / max(err, 1e-300)) ** 0.2))
-        if err > opts.step_err_tol or meas_two[1] > delta_cur:
-            if err > opts.step_err_tol:
+        too_coarse = err > opts.step_err_tol
+        if not too_coarse:     # only an attempt the error estimate passes needs its end drift
+            drift_two = system.drift(system._state(y_two))
+            meas_two = system.measures(y_two, drift_two)
+        if too_coarse or meas_two[1] > delta_cur:
+            if too_coarse:
                 rejected_err += 1
             else:
                 rejected_delta += 1

@@ -135,6 +135,37 @@ def test_help_names_every_command(capsys):
         assert re.search(rf"^\s+{name}\s+\w", out, re.MULTILINE), name
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (["--seed", "3", "gen", "--d", "2", "--n", "4"], ["gen", "--d", "2", "--n", "4", "--seed", "3"]),
+    (["gen", "--seed=3", "--d=2", "--n", "4"], ["gen", "--seed", "3", "--d", "2", "--n", "4"]),
+    (["solve", "--smooth", "--d", "2", "--n", "4", "--final-del", "1e-6"],
+     ["solve", "--smoothed", "--d", "2", "--n", "4", "--final-delta", "1e-6"]),
+    (["--s", "1", "gen"], "usage error"),       # --seed, --sigma2 or --smoothed
+    (["gen", "--kind"], "usage error"),         # the last flag has no value
+    (["gen", "--d", "x"], "usage error"),
+    (["gen", "--eps", "x"], "usage error"),
+    (["gen", "--smoothed=1"], "usage error"),   # a value on a flag that takes none
+    (["bend"], "usage error"),
+    (["gen", "flow"], "usage error"),
+    (["-h"], "help"),
+], ids=["flag-first", "equals", "prefix", "ambiguous", "no-value", "bad-int", "bad-float",
+        "value-on-switch", "unknown-command", "two-commands", "short-help"])
+def test_argv_grammar(capsys, argv, expect):
+    # flags before or after the command, --flag=value and unique prefixes read
+    # as the spelled-out argv; any other malformed argv is a usage error
+    if expect == "help":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and "capacity" in capsys.readouterr().out
+    elif expect == "usage error":
+        rc, captured = run(capsys, *argv)
+        assert rc == 1 and captured.err.startswith("usage error: "), captured.err
+        assert captured.out == ""
+    else:
+        rc, spelled = run(capsys, *expect)
+        assert rc == 0 and run(capsys, *argv) == (0, spelled)
+
+
 def test_unknown_flag(capsys):
     rc, _ = run(capsys, "gen", "--frobnicate", "1")
     assert rc == 1
@@ -221,8 +252,11 @@ def test_malformed_input_file(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"kind": "sphere", "r": 1}))
     assert run(capsys, "capacity", "--in", str(wrong))[0] == 1
+    huge = 10**400    # an int too large for a float
     for text in ("[1, 2]", '"matrix"', "[" * 100_000 + "]" * 100_000,
-                 json.dumps({"kind": "matrix", "m": 2, "n": 2, "entries": [[1, {}], [1, 1]]})):
+                 json.dumps({"kind": "matrix", "m": 2, "n": 2, "entries": [[1, {}], [1, 1]]}),
+                 json.dumps({"kind": "matrix", "m": 1, "n": 1, "entries": [[huge]]}),
+                 json.dumps({"kind": "frame", "d": 1, "n": 1, "vectors": [[huge]]})):
         wrong.write_text(text)
         rc, captured = run(capsys, "capacity", "--in", str(wrong))
         assert rc == 1 and captured.err.startswith("usage error: malformed object JSON: ")
@@ -609,9 +643,9 @@ def test_config_file_errors(tmp_path, capsys):
         assert rc == 1 and "unknown config keys" in captured.err
 
 
-def test_main_reuses_one_parser(tmp_path, capsys):
-    # main builds its parser once per process; a usage error on it leaves no
-    # trace in the next call, whose stdout matches a fresh process
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # a usage error in one main call leaves no trace in the next call, whose
+    # stdout matches a fresh process
     obj = tmp_path / "mat.json"
     assert main(["gen", "--kind", "matrix", "--m", "4", "--n", "6", "--seed", "3",
                  "--out", str(obj)]) == 0

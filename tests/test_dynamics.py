@@ -451,9 +451,10 @@ def test_solve_basic_takes_eight_drift_calls_per_step_attempt(monkeypatch):
     # one drift at the start, shared by its measures and derivative; then per
     # attempt three stacked evaluations for the first half step and the full
     # step beside it, one derivative and three evaluations for the second
-    # half step, and the end-of-step drift, shared by its measures and, on an
-    # accepted step, its derivative
-    assert len(calls) == 1 + 8 * attempts
+    # half step, and, unless the error estimate rejects the attempt, the
+    # end-of-step drift, shared by its measures and, on an accepted step, its
+    # derivative
+    assert len(calls) == 1 + 8 * attempts - traj.rejected_err
     # each state evaluated for a right-hand side counts once
     assert traj.evals == 1 + 10 * attempts + traj.steps
 
