@@ -77,6 +77,13 @@ two separate runs.  Rows:
                           (read from a JSON file, report to a string): the
                           one pass of capacity_report, both matrix routes
   capacity op 5x6 holes   the same on the 5x6 matrix with zeros
+  flow trace 4x6          one whole in-process `frameflow flow` op on the
+                          4x6 matrix of the benchmark's flow-trace workload
+                          at seed 1, round 0, run until delta falls to a
+                          tenth of its start (about 1,500 rows under
+                          validation_options(); CSV to a string)
+  trajectory_csv 1500 rows  the CSV of the first 1,500 rows of the same
+                          matrix's flow to its default target
 
 The iteration rows divide by the iteration count their call reports, which
 is printed beside them; it should match between two commits compared.
@@ -84,6 +91,7 @@ is printed beside them; it should match between two commits compared.
 
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -170,6 +178,13 @@ def _rows(ff: SimpleNamespace, workdir: str) -> list:
     wide_y0 = wide_system.y0.copy()
     wide_f0 = wide_system.f(wide_y0)
     objective = _matrix_objective(positive.entries)
+    traced = random_matrix(4, 6, (1, 3, 0))
+    traced_path = os.path.join(workdir, "traced.json")
+    ff.core.save_json(traced, traced_path)
+    flow_op = _cli_op(cli, ["flow", "--in", traced_path, "--tol", repr(0.1 * delta_of(traced))])
+    dyn = ff.dynamics
+    traj = dyn.matrix_flow(traced, opts=dyn.validation_options())[1]
+    traj = dataclasses.replace(traj, **{c: getattr(traj, c)[:1500] for c in dyn._COLUMNS})
     argv = ["capacity", "--in", "x.json"]
     ops = {}
     for name, obj in (("full", full_rect), ("holes", holed_rect)):
@@ -213,6 +228,8 @@ def _rows(ff: SimpleNamespace, workdir: str) -> list:
         ("cli parse", parse, None),
         ("capacity op 5x6 full", ops["full"], None),
         ("capacity op 5x6 holes", ops["holes"], None),
+        ("flow trace 4x6", flow_op, None),
+        ("trajectory_csv 1500 rows", lambda: dyn.trajectory_csv(traj), None),
     ]
 
 

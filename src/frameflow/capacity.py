@@ -330,6 +330,11 @@ def matrix_capacity(a: NonNegMatrix, tol: float = SCALING_TOL) -> CapacityResult
     return _matrix_scaling(a, s, _bracket(a, s, delta_of(a)), tol)
 
 
+# e^y overflows on trial steps where the infimum lies at infinity (a
+# zero-capacity input), and what reads the overflowed values (a product, a
+# slogdet) is invalid; both objectives return inf there, which the line
+# search rejects, so one context per Newton run keeps numpy from warning
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
     """Gauge-fixed damped Newton for an objective f(y) that is invariant
     under y -> y + c 1; `objective(y)` returns (f, gradient, Hessian).
@@ -434,13 +439,9 @@ def _frame_objective(vecs: np.ndarray, d: int, n: int):
     logd = math.log(d)
 
     def objective(y):
-        # e^y overflows where the infimum lies at infinity (a zero-capacity
-        # frame that spans), and slogdet of the overflowed Gram is invalid;
-        # both are handled below, so numpy need not warn of them
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.exp(y)
-            gram = (vecs * w[:, None]).T @ vecs
-            sgn, logdet = np.linalg.slogdet(gram)
+        w = np.exp(y)
+        gram = (vecs * w[:, None]).T @ vecs
+        sgn, logdet = np.linalg.slogdet(gram)
         if sgn <= 0 or not math.isfinite(logdet):    # singular, or e^y overflowed
             return math.inf, None, None
         f = logd + logdet / d - float(y.sum()) / n

@@ -15,7 +15,8 @@ held in logs, which integrate the diagonal C itself.
   s, r_i, c_j taken from the squared entries M, each supported entry obeys
   d(log M_ij)/dt = 2 (2 s - m r_i - n c_j); both transforms are diagonal,
   their logs integrating s - m r_i and s - n c_j.  Zero entries stay
-  exactly zero.
+  exactly zero.  The support is a slice when every entry is positive, else
+  its flat index array.
 
 Along every flow  ds/dt = -2 delta  and  ddelta/dt = -4 * speed^2, where
 speed is the Frobenius velocity of the flowed object; both monitored values
@@ -35,7 +36,9 @@ side by side as a stack of two, and takes the drift at the step's end
 once: the accept test reads its measures and the next step its
 right-hand side.  A step's samples are handled as one stack too:
 interpolated on the whole grid at once, measured in one drift call over K
-packed states, and recorded with one log-determinant call.  Retained
+packed states, and recorded with one log-determinant call into one numpy
+block of CSV columns; the blocks are joined once, when the trajectory is
+built, and trajectory_csv formats all rows in one call.  Retained
 samples are thinned to at most max_samples by doubling the record stride;
 once the stride is above one, a step's samples keep their first grid and
 only the ones the stride keeps are measured.  With record_samples off,
@@ -148,9 +151,9 @@ class Trajectory:
 def trajectory_csv(traj: Trajectory) -> str:
     """Render the monitored columns as CSV (17 significant digits)."""
     cols = [getattr(traj, name) for name in _COLUMNS]
-    row = ",".join(["%.17g"] * len(cols))
-    lines = [row % tuple(r) for r in np.column_stack(cols).tolist()]
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    flat = np.column_stack(cols).ravel().tolist()
+    return CSV_HEADER + "\n" + (row * len(traj.t)) % tuple(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,7 @@ class _System:
         """(s, delta, speed2) over the leading axes of a drift, with
         delta = |L|^2 / m + |R|^2 / n."""
         s, left, right, _, speed2 = drift
-        sq = [(side * side).sum(axis=(-2, -1) if dense else -1)
+        sq = [np.add.reduce(side * side, axis=(-2, -1) if dense else -1)
               for side, dense in zip((left, right), self.dense)]
         return s, sq[0] / self.m + sq[1] / self.n, speed2
 
@@ -234,7 +237,7 @@ class _System:
 
     def logdets(self, y):
         """log|det| of the left and right transforms, over the leading axes of y."""
-        return tuple(np.linalg.slogdet(side)[1] if dense else side.sum(axis=-1)
+        return tuple(np.linalg.slogdet(side)[1] if dense else np.add.reduce(side, axis=-1)
                      for side, dense in zip(self._sides(y), self.dense))
 
     def transforms(self, y):
@@ -254,7 +257,7 @@ class _OperatorSystem(_System):
     def drift(self, u):
         bl = np.einsum("...kmn,...kln->...ml", u, u)
         br = np.einsum("...kmi,...kmj->...ij", u, u)
-        s = np.trace(bl, axis1=-2, axis2=-1)
+        s = bl.trace(axis1=-2, axis2=-1)
         cm = s[..., None, None] * self.eye_m - self.m * bl
         cn = s[..., None, None] * self.eye_n - self.n * br
         du = np.matmul(cm[..., None, :, :], u) + np.matmul(u, cn[..., None, :, :])
@@ -295,7 +298,8 @@ class _MatrixSystem(_System):
 
     def __init__(self, mat: NonNegMatrix):
         self.m, self.n = mat.m, mat.n
-        self.support = np.flatnonzero(mat.entries > 0.0)   # flat (row-major) indices
+        support = np.flatnonzero(mat.entries > 0.0)   # flat (row-major) indices
+        self.support = slice(None) if support.size == self.m * self.n else support
         super().__init__(np.log(mat.entries.ravel()[self.support]), False, False)
 
     def _mat(self, logs):
@@ -306,12 +310,12 @@ class _MatrixSystem(_System):
 
     def drift(self, logs):
         mm = self._mat(logs)
-        r = mm.sum(axis=-1)
-        c = mm.sum(axis=-2)
-        s = r.sum(axis=-1)
+        r = np.add.reduce(mm, axis=-1)
+        c = np.add.reduce(mm, axis=-2)
+        s = np.add.reduce(r, axis=-1)
         rate = 2.0 * s[..., None, None] - self.m * r[..., :, None] - self.n * c[..., None, :]
         return (s, s[..., None] - self.m * r, s[..., None] - self.n * c, rate,
-                np.sum(rate * rate * mm, axis=(-2, -1)))
+                np.add.reduce(rate * rate * mm, axis=(-2, -1)))
 
     def state_rate(self, v):
         return 2.0 * v[..., self.support]
@@ -390,9 +394,9 @@ def _dense_samples(system, t, h, ends, meas_a, meas_b, rel, stride=1):
             return t + theta * h, states, None
         meas = system.measures_stack(states)
         deltas = np.concatenate([[delta_a], meas[1], [delta_b]])
-        changes = np.diff(deltas)
-        worst = float(np.max(-changes / deltas[:-1]))
-        if worst <= rel or np.any(changes >= 0.0):
+        changes = deltas[1:] - deltas[:-1]
+        worst = float(np.maximum.reduce(-changes / deltas[:-1]))
+        if worst <= rel or (changes >= 0.0).any():
             return t + theta * h, states, meas
         cells = max(cells + 1, math.ceil(cells * worst / rel))
     return None
@@ -402,11 +406,13 @@ class _Recorder:
     """Sample collector with stride-doubling thinning.  Points arrive
     numbered in order; the rows kept are those whose number is a multiple
     of the stride, which doubles (halving the rows) whenever there are more
-    than max_samples of them."""
+    than max_samples of them.  The rows are held as numpy blocks, one per
+    add, with one column per CSV column."""
 
     def __init__(self, max_samples: int, record_states: bool):
         self.max_samples = max_samples
-        self.rows = []
+        self.blocks = []
+        self.rows = 0              # rows kept over all blocks
         self.states = [] if record_states else None
         self.stride = 1
         self.count = 0
@@ -422,14 +428,15 @@ class _Recorder:
             return
         s, delta, speed2 = (system.measures_stack(ys) if meas is None
                             else (v[first::step] for v in meas))
-        block = np.column_stack([ts, s, delta, -2.0 * delta, -4.0 * speed2, ys[:, -1],
-                                 *system.logdets(ys)])
-        self.rows.extend(block.tolist())
+        self.blocks.append(np.array([ts, s, delta, -2.0 * delta, -4.0 * speed2, ys[:, -1],
+                                     *system.logdets(ys)]).T)
+        self.rows += len(ts)
         if self.states is not None:
             self.states.extend(FlowState(t, system.obj(y), system.transforms(y))
                                for t, y in zip(ts.tolist(), ys))
-        while len(self.rows) > self.max_samples:
-            self.rows = self.rows[::2]
+        while self.rows > self.max_samples:
+            self.blocks = [np.concatenate(self.blocks)[::2]]
+            self.rows = len(self.blocks[0])
             if self.states is not None:
                 self.states = self.states[::2]
             self.stride *= 2
@@ -509,10 +516,10 @@ def _integrate(system, target_delta, t_max, opts: FlowOptions):
         h *= factor
 
     # make sure the final point is retained even if thinning skipped it
-    if rec.rows and rec.rows[-1][0] != t:
+    if rec.blocks[-1][-1, 0] != t:
         rec.add_point(system, t, y, meas, force=True)
 
-    rows = np.array(rec.rows, dtype=float)
+    rows = np.concatenate(rec.blocks)
     traj = Trajectory(
         kind=system.kind,
         m=system.m,

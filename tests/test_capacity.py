@@ -802,6 +802,19 @@ def test_frame_newton_handles_its_overflows_without_warnings():
     assert res.value == float.fromhex("0x1.4a41d57bd3575p-8")     # 0.005039324398081181
 
 
+def test_matrix_newton_handles_its_overflows_without_warnings():
+    # the 1x4 criterion-04 draw j = 61 of the capacity workload (master seed
+    # 171002587): Newton's trial steps overflow e^y, which the objective
+    # reads as f = inf, so no RuntimeWarning reaches the caller
+    a = NonNegMatrix([[7.677492742217118e-06, 0.019029188894149517,
+                       0.8098743561254546, 0.18250035661574407]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = capacity.capacity_report(a)
+    assert (rep.result.value, rep.convex.value) == (0.04848866816486603, 0.048488668164866)
+    assert rep.convex.converged and rep.convex.iterations == 8
+
+
 def test_weight_minimizer_raises_where_newton_stops_short():
     # no weights minimize the program of a zero-capacity frame that spans, so
     # the minimizer says so, and the reduction takes the identity weight

@@ -21,6 +21,7 @@ from frameflow.dynamics import (
     CSV_HEADER,
     FlowError,
     FlowOptions,
+    Trajectory,
     _FrameSystem,
     _MatrixSystem,
     _OperatorSystem,
@@ -180,6 +181,24 @@ def test_matrix_flow_support_preserved():
     assert np.all(final.entries[entries > 0] > 0.0)
 
 
+def test_full_support_slice_matches_the_index_path():
+    # a positive matrix indexes its support by a slice; the flat index array
+    # of every entry must give the same bits
+    a = random_matrix(4, 6, 3)
+    sliced, indexed = _MatrixSystem(a), _MatrixSystem(a)
+    assert sliced.support == slice(None)
+    indexed.support = np.arange(a.m * a.n)
+    rng = np.random.default_rng(4)
+    ys = sliced.y0 + 0.1 * rng.standard_normal((2, sliced.y0.size))
+    for got, want in zip(sliced.drift(sliced._state(ys)), indexed.drift(indexed._state(ys))):
+        assert got.tobytes() == want.tobytes()
+    assert sliced.f(ys).tobytes() == indexed.f(ys).tobytes()
+    for y in ys:
+        assert sliced.obj(y).entries.tobytes() == indexed.obj(y).entries.tobytes()
+    holed = _MatrixSystem(NonNegMatrix([[0.4, 0.0, 0.2], [0.0, 0.3, 0.1]]))
+    assert isinstance(holed.support, np.ndarray) and holed.support.tolist() == [0, 2, 4, 5]
+
+
 # ---------------------------------------------------------------------------
 # embedding equivalence
 
@@ -255,6 +274,32 @@ def test_csv_layout_and_revalidation():
 
     results = validate_trace_csv(text)
     assert results and all(r.ok for r in results), [r.detail for r in results if not r.ok]
+
+
+def _csv_row_by_row(traj):
+    rows = np.column_stack([getattr(traj, name) for name in CSV_HEADER.split(",")]).tolist()
+    return "\n".join([CSV_HEADER] + [",".join("%.17g" % v for v in r) for r in rows]) + "\n"
+
+
+def test_csv_matches_row_by_row_formatting():
+    # a recorded flow, thinned and not
+    for opts in (validation_options(), FlowOptions(max_samples=64)):
+        _, traj = matrix_flow(random_matrix(4, 6, 0), opts=opts)
+        assert trajectory_csv(traj) == _csv_row_by_row(traj)
+    # values at %g's notation switches, signed zero, the smallest subnormal
+    # and non-finite values, in the columns that need not be monotone
+    special = np.array([1e-4, 9.999999999999999e-05, 1e-5, 1e16, 1e17, 9.999999999999998e16,
+                        -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, np.inf, -np.inf,
+                        np.nan, -1e-4, 0.1])
+    k = len(special)
+    cols = {name: np.roll(special, j) for j, name in
+            enumerate(("t", "ds_dt", "dDelta_dt", "movement", "logdetX", "logdetY"))}
+    traj = Trajectory("matrix", 2, 2, s=np.linspace(2.0, 1.0, k), delta=np.geomspace(1.0, 1e-300, k),
+                      status="t_max", transforms=(np.ones(2), np.ones(2)), steps=0,
+                      rejected_err=0, rejected_delta=0, evals=0, **cols)
+    text = trajectory_csv(traj)
+    assert text == _csv_row_by_row(traj)
+    assert "1e+17" in text and "1.0000000000000001e-05" in text and "-0," in text
 
 
 def test_identity_errors_exact_on_quadratic_s():
