@@ -3,12 +3,11 @@
 
 Shows the geometric halving of the imbalance, the perturbation scale chosen
 at each level, and the movement spent per iteration.  The global-scale
-assumptions behind the worst-case analysis do not hold at desk sizes (the
-run warns accordingly); the halving behaviour is what survives.
+assumptions behind the worst-case analysis do not hold at desk sizes; the
+halving behaviour is what survives.
 """
 
 import argparse
-import warnings
 
 import numpy as np
 
@@ -24,16 +23,12 @@ def main() -> None:
     ap.add_argument("--eps", type=float, default=0.01)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--final-delta", type=float, default=1e-10)
-    ap.add_argument("--quiet-warnings", action="store_true")
     args = ap.parse_args()
 
     u, measured = near_parseval_frame(args.d, args.n, args.eps, args.seed)
     print(f"input: d={args.d} n={args.n} eps={measured:.4g} delta={delta_of(u):.4g}")
 
-    with warnings.catch_warnings():
-        if args.quiet_warnings:
-            warnings.simplefilter("ignore", RuntimeWarning)
-        v, trace = solve_smoothed(u, final_delta=args.final_delta, seed=args.seed)
+    v, trace = solve_smoothed(u, final_delta=args.final_delta, seed=args.seed)
 
     print(f"{'l':>3} {'sigma2':>10} {'delta_before':>13} {'delta_after':>13} "
           f"{'halving_tgt':>12} {'movement':>11} {'retries':>7}")

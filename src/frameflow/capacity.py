@@ -33,7 +33,8 @@ import numpy as np
 
 from ._jacobi import jacobi_eigh
 from .core import Frame, NonNegMatrix, OperatorTuple, delta_of, frame_to_operator, size_of
-from .discrete_scaling import SCALING_MAX_ITERS, ScalingError, operator_sinkhorn, sinkhorn
+from .discrete_scaling import (SCALING_MAX_ITERS, ScalingError, operator_sinkhorn,
+                               reports_nonfinite, sinkhorn)
 
 SCALING_TOL = 1e-12      # the scaling routes stop at delta <= SCALING_TOL * s^2
 GRAD_TOL = 1e-10
@@ -253,6 +254,7 @@ def capacity_zero_check(a: NonNegMatrix) -> dict | None:
 # bounds
 
 
+@reports_nonfinite
 def capacity_bounds(obj) -> tuple[float, float]:
     """Always-valid (lower, upper) bracket from size and imbalance alone.
 
@@ -318,6 +320,7 @@ def _matrix_scaling(a: NonNegMatrix, s: float, bracket: tuple[float, float],
     return _scaling_result(value, bracket, report)
 
 
+@reports_nonfinite
 def matrix_capacity(a: NonNegMatrix, tol: float = SCALING_TOL) -> CapacityResult:
     """Scaling route: balance with sinkhorn to delta <= tol * s^2, then undo
     the diagonal scalings; at balance the capacity equals the size, so the
@@ -333,8 +336,7 @@ def matrix_capacity(a: NonNegMatrix, tol: float = SCALING_TOL) -> CapacityResult
 # e^y overflows on trial steps where the infimum lies at infinity (a
 # zero-capacity input), and what reads the overflowed values (a product, a
 # slogdet) is invalid; both objectives return inf there, which the line
-# search rejects, so one context per Newton run keeps numpy from warning
-@np.errstate(over="ignore", invalid="ignore")
+# search rejects.  The entry points that reach _newton hold the errstate.
 def _newton(objective, y0: np.ndarray, tol: float, max_iters: int):
     """Gauge-fixed damped Newton for an objective f(y) that is invariant
     under y -> y + c 1; `objective(y)` returns (f, gradient, Hessian).
@@ -414,6 +416,7 @@ def _matrix_objective(mat: np.ndarray):
     return objective
 
 
+@reports_nonfinite
 def matrix_capacity_convex(a: NonNegMatrix) -> CapacityResult:
     """Convex route: minimize
         f(y) = log m + (1/m) sum_i log((A e^y)_i) - (1/n) sum_j y_j
@@ -460,6 +463,7 @@ def _frame_certificate(fr: Frame) -> dict | None:
     return {"reason": "vectors do not span"}
 
 
+@reports_nonfinite
 def frame_weight_minimizer(fr: Frame) -> np.ndarray:
     """Positive per-vector weights x_l = e^{y_l} minimizing the diagonal
     capacity program (by the Newton routine of frame_capacity); the
@@ -509,6 +513,7 @@ def operator_capacity(u: OperatorTuple) -> CapacityResult:
 # one pass per input
 
 
+@reports_nonfinite
 def capacity_report(obj) -> CapacityReport:
     """Capacity of a matrix, frame or operator tuple in one pass: the zero
     check, size_of, delta_of and the bracket each run once, and feed the

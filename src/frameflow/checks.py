@@ -10,7 +10,6 @@ import csv
 import functools
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -491,9 +490,7 @@ def check_paulsen_perturb_constraints(seed: int = 0) -> CheckResult:
 
 def check_paulsen_smoothed_invariants(seed: int = 0) -> CheckResult:
     fr, _ = near_parseval_frame(3, 60, 0.02, (seed, 17))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        v, trace = solve_smoothed(fr, seed=seed, final_delta=1e-10)
+    v, trace = solve_smoothed(fr, seed=seed, final_delta=1e-10)
     base = Frame(fr.vectors * math.sqrt(3.0 / size_of(fr)))
     delta0 = delta_of(base)
     ok = True

@@ -27,7 +27,6 @@ import json
 import math
 import re
 import sys
-import warnings
 
 import numpy as np
 
@@ -354,13 +353,11 @@ def cmd_solve(cfg: RunConfig) -> int:
             "input": to_dict(frame),
         }
         if cfg.mode == "smoothed":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                v, trace = solve_smoothed(
-                    frame, seed=cfg.seed + trial,
-                    **_given(zeta=cfg.zeta, kappa=cfg.kappa,
-                             final_delta=cfg.final_delta, t_max=cfg.t_max),
-                )
+            v, trace = solve_smoothed(
+                frame, seed=cfg.seed + trial,
+                **_given(zeta=cfg.zeta, kappa=cfg.kappa,
+                         final_delta=cfg.final_delta, t_max=cfg.t_max),
+            )
             rec["trace"] = trace.to_dict()
             rec["output"] = to_dict(v)
             rec["dist"] = dist(frame, v)

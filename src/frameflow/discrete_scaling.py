@@ -45,6 +45,12 @@ from .core import Frame, NonNegMatrix, OperatorTuple, _gram_half, _marginal_half
 
 SCALING_MAX_ITERS = 100_000    # default iteration cap of every scaling loop
 
+# Floating-point policy: a routine that reports a non-finite value as an
+# outcome (a `non-finite` stop, a `bracket-only` capacity, a JSON null) runs
+# under this context instead of numpy warning on stderr; nothing else warns
+# or changes the warning filters.
+reports_nonfinite = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 # The loops below call np.add.reduce, the ufunc reduction that .sum() and
 # np.sum dispatch to: the same arithmetic, without about 0.7 us of Python
 # per call, and they make several per iteration.
@@ -90,6 +96,7 @@ def _above(half, s: float, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@reports_nonfinite
 def sinkhorn(
     a: NonNegMatrix, tol: float = 1e-12, max_iters: int = SCALING_MAX_ITERS
 ) -> tuple[NonNegMatrix, tuple[np.ndarray, np.ndarray], IterationReport]:
@@ -133,6 +140,7 @@ def sinkhorn(
     return NonNegMatrix(mat), (x, y), _report(iterations, delta, tol, (x, y))
 
 
+@reports_nonfinite
 def operator_sinkhorn(
     u: OperatorTuple, tol: float = 1e-12, max_iters: int = SCALING_MAX_ITERS
 ) -> tuple[OperatorTuple, tuple[np.ndarray, np.ndarray], IterationReport]:
@@ -180,6 +188,7 @@ def operator_sinkhorn(
     return OperatorTuple(mats), (left, right), _report(iterations, delta, tol, (left, right))
 
 
+@reports_nonfinite
 def frame_alternating(
     f: Frame, tol: float = 1e-12, max_iters: int = SCALING_MAX_ITERS
 ) -> tuple[Frame, tuple[np.ndarray, np.ndarray], IterationReport]:

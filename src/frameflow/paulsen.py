@@ -16,7 +16,6 @@ certified capacity lower bound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,20 +325,12 @@ def solve_smoothed(
     run the basic pipeline instead (trace flagged ``downgraded``).
 
     The closed-form constants behind the full guarantee need n larger than
-    1e15 d^4/(zeta^2 kappa^2); at any feasible size that assumption fails
-    and a warning says so — the per-iteration invariants still hold and are
-    what the tests assert.  Each flow records only its end points.
+    1e15 d^4/(zeta^2 kappa^2), false at any feasible size, so the endpoint
+    guarantee is not claimed; the per-iteration invariants still hold and
+    are what the tests assert.  Each flow records only its end points.
     """
     d, n = u.d, u.n
     trace = PathTrace(zeta=zeta, kappa=kappa, seed=seed)
-    if n < 1e15 * d**4 / (zeta**2 * kappa**2):
-        warnings.warn(
-            "global assumption n >= 1e15 d^4/(zeta^2 kappa^2) violated; "
-            "per-iteration invariants are asserted but the endpoint "
-            "guarantee is not claimed",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     cur, _ = _renorm_size(u, d)
     delta_l = delta0 = delta_of(cur)

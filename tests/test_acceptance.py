@@ -9,7 +9,6 @@ import itertools
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -271,9 +270,7 @@ def test_criterion_10_smoothed_pipeline():
     for sd in range(seeds):
         u, _ = near_parseval_frame(d, n, 0.01, (SEED, 10, sd))
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                v, trace = solve_smoothed(u, final_delta=1e-10, seed=sd)
+            v, trace = solve_smoothed(u, final_delta=1e-10, seed=sd)
         except Exception:
             continue
         if trace.records:

@@ -39,7 +39,7 @@ from frameflow.capacity import (
     tensor_square,
     tight_example,
 )
-from frameflow.discrete_scaling import IterationReport, operator_sinkhorn
+from frameflow.discrete_scaling import IterationReport, frame_alternating, operator_sinkhorn
 from frameflow.dynamics import frame_flow
 from frameflow.generate import (
     harmonic_frame,
@@ -617,8 +617,7 @@ def test_bounds_exactly_balanced_with_subnormal_entries():
 def test_overflowing_imbalance_is_bracket_only():
     # delta and tol * s^2 overflow to inf; the value is only the size
     a = NonNegMatrix([[1e300, 1e-300, 0.0], [0.0, 1e-300, 1e300], [1.0, 0.0, 1e-300]])
-    with np.errstate(over="ignore"):
-        res = matrix_capacity(a)
+    res = matrix_capacity(a)
     assert res.method == "bracket-only" and not res.converged
     assert res.lower <= res.value <= res.upper
 
@@ -628,15 +627,13 @@ def test_overflowed_transforms_fall_back_to_size(monkeypatch):
     # transforms have overflowed and their log-determinants are NaN
     u = random_operator(2, 3, 5, (17, 24))
     monkeypatch.setattr(capacity, "SCALING_MAX_ITERS", 10_000)
-    with np.errstate(all="ignore"):
-        res = operator_capacity(u)
+    res = operator_capacity(u)
     assert (res.value, res.method, res.converged) == (size_of(u), "bracket-only", False)
     # the matrix route, handed transforms that overflowed the same way
     a = random_matrix(3, 3, 7)
     monkeypatch.setattr(capacity, "sinkhorn", lambda a, tol, max_iters: (
         a, (np.full(3, np.inf), np.zeros(3)), IterationReport(10, 0.0, "converged")))
-    with np.errstate(all="ignore"):
-        res = matrix_capacity(a)
+    res = matrix_capacity(a)
     assert (res.value, res.method, res.converged) == (size_of(a), "bracket-only", False)
 
 
@@ -782,9 +779,8 @@ def _three_on_a_line() -> Frame:
 
 def test_newton_stops_at_max_iters_on_zero_capacity_frame():
     fr = _three_on_a_line()
-    with np.errstate(over="ignore", invalid="ignore"):   # e^y overflows on the way
-        res = frame_capacity(fr)
-        rep = capacity.capacity_report(fr)
+    res = frame_capacity(fr)
+    rep = capacity.capacity_report(fr)
     assert (res.stop, res.converged, res.iterations) == ("max_iters", False, NEWTON_MAX_ITERS)
     assert rep.result == res
 
@@ -815,15 +811,32 @@ def test_matrix_newton_handles_its_overflows_without_warnings():
     assert rep.convex.converged and rep.convex.iterations == 8
 
 
+@pytest.mark.parametrize("call, expected", [
+    (lambda: operator_sinkhorn(OperatorTuple(np.full((1, 2, 2), 1e200)))[2].stop, "non-finite"),
+    (lambda: frame_alternating(Frame(np.full((3, 2), 1e200)))[2].stop, "non-finite"),
+    (lambda: capacity_bounds(NonNegMatrix(
+        [[1e300, 1e-300, 0.0], [0.0, 1e-300, 1e300], [1.0, 0.0, 1e-300]])), (0.0, 2e300)),
+    (lambda: matrix_capacity_convex(NonNegMatrix(
+        [[7.677492742217118e-06, 0.019029188894149517, 0.8098743561254546,
+          0.18250035661574407]])).value, 0.048488668164866),
+], ids=["operator-sinkhorn", "frame-alternating", "capacity-bounds", "matrix-convex"])
+def test_entry_points_report_non_finite_values_without_warnings(call, expected):
+    # a Gram or a delta that overflows, and Newton's overflowing trial
+    # steps: each entry point holds its own errstate, so a direct call is
+    # as quiet as one through capacity_report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call() == expected
+
+
 def test_weight_minimizer_raises_where_newton_stops_short():
     # no weights minimize the program of a zero-capacity frame that spans, so
     # the minimizer says so, and the reduction takes the identity weight
     fr = _three_on_a_line()
     u = frame_to_operator(fr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(CapacityError, match="max_iters"):
-            frame_weight_minimizer(fr)
-        a = reduce_operator_to_matrix(u)
+    with pytest.raises(CapacityError, match="max_iters"):
+        frame_weight_minimizer(fr)
+    a = reduce_operator_to_matrix(u)
     np.testing.assert_array_equal(a.entries, reduce_operator_to_matrix(u, x=np.eye(6)).entries)
 
 
@@ -853,8 +866,7 @@ def test_scaling_routes_carry_their_loops_stop(monkeypatch):
     # transforms that overflowed: the value falls back to the size
     monkeypatch.setattr(capacity, "sinkhorn", lambda a, tol, max_iters: (
         a, (np.full(3, np.inf), np.zeros(3)), IterationReport(10, 0.0, "converged")))
-    with np.errstate(all="ignore"):
-        res = matrix_capacity(random_matrix(3, 3, 7))
+    res = matrix_capacity(random_matrix(3, 3, 7))
     assert (res.method, res.converged, res.stop) == ("bracket-only", False, "non-finite")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import frameflow
-from frameflow import checks
+from frameflow import capacity, checks
 from frameflow.capacity import tight_example
 from frameflow.cli import RunConfig, main
 from frameflow.core import (Frame, NonNegMatrix, OperatorTuple, dumps, eps_nearness,
@@ -356,8 +356,8 @@ def test_solve_byte_determinism(tmp_path, capsys):
 
 
 def test_smoothed_solve_leaves_warning_filters_unchanged(capsys):
-    # solve_smoothed warns when its global assumption fails; the CLI mutes
-    # that warning per trial and must hand the filters back as it found them
+    # no code on the smoothed path touches the warning filters, so a run
+    # hands them back as it found them
     for seed in range(6):
         before = list(warnings.filters)
         rc, _ = run(capsys, "solve", "--smoothed", "--d", "3", "--n", "40",
@@ -497,8 +497,7 @@ def test_capacity_op_runs_each_measure_once(tmp_path, capsys, monkeypatch, obj):
 def test_capacity_extreme_entries_exit_zero(tmp_path, capsys, entries, method):
     obj = tmp_path / "mat.json"
     obj.write_text(dumps(NonNegMatrix(entries)))
-    with np.errstate(over="ignore"):
-        rc, captured = run(capsys, "capacity", "--in", str(obj))
+    rc, captured = run(capsys, "capacity", "--in", str(obj))
     assert rc == 0, captured.err
     doc = json.loads(captured.out, parse_constant=_reject_constant)
     assert doc["method"] == method
@@ -509,6 +508,35 @@ def test_capacity_extreme_entries_exit_zero(tmp_path, capsys, entries, method):
 
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
+
+
+def _matrix_units(a: NonNegMatrix) -> OperatorTuple:
+    """The tuple U_l = sqrt(a_ij) e_i e_j^T, one per nonzero entry of a."""
+    rows, cols = a.entries.nonzero()
+    mats = np.zeros((rows.size, a.m, a.n))
+    mats[np.arange(rows.size), rows, cols] = np.sqrt(a.entries[rows, cols])
+    return OperatorTuple(mats)
+
+
+@pytest.mark.parametrize("obj, pinned", [
+    (NonNegMatrix([[1e300, 1e-300, 0.0], [0.0, 1e-300, 1e300], [1.0, 0.0, 1e-300]]),
+     {"method": "bracket-only", "delta": None}),
+    (_matrix_units(tight_example(2).A),
+     {"method": "bracket-only", "value": 1.0, "upper": 1.0, "lower": 0.0, "converged": False}),
+], ids=["overflowing-delta", "zero-capacity-matrix-units"])
+def test_capacity_reports_overflow_without_warnings(tmp_path, capsys, monkeypatch, obj, pinned):
+    # the delta of the matrix overflows, and the transforms of the tuple,
+    # which no scaling balances, overflow by 10000 iterations; the report
+    # carries both as fields, and nothing reaches stderr
+    monkeypatch.setattr(capacity, "SCALING_MAX_ITERS", 10_000)
+    path = tmp_path / "obj.json"
+    path.write_text(dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, captured = run(capsys, "capacity", "--in", str(path))
+    assert (rc, captured.err) == (0, "")
+    doc = json.loads(captured.out)
+    assert {key: doc[key] for key in pinned} == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +735,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize("argv, last_line", [
     (["basic_distance_table.py", "--d", "2", "--n", "4", "--trials", "2"],
      "   0.0300    0.02972   3.015e-04   3.028e-04   4.756e+01   6.36e-06"),
-    (["smoothed_demo.py", "--n", "40", "--quiet-warnings"],
+    (["smoothed_demo.py", "--n", "40"],
      "result: iterations=20 size=3 delta=8.016e-11 dist=3.1234e-02 total_movement=2.1718e-02"),
     (["rate_experiment.py", "--m", "2", "--n", "4", "--trials", "2"],
      "(size s = 0.283496; a verified rate mu certifies cap >= s - 2*delta0/mu)"),
@@ -715,7 +743,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 def test_experiment_script_smoke(argv, last_line):
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
                           env=_package_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == last_line
 
 

@@ -495,8 +495,8 @@ def test_dumps_is_valid_json():
 
 
 def test_package_imports_only_stdlib_and_numpy():
-    # no concurrency modules either: `solve` runs its trials serially, since
-    # `warnings.catch_warnings` is not thread-safe
+    # no concurrency modules either: `solve` runs its trials in one serial
+    # loop, in index order, which measured faster than a two-thread pool
     allowed = (set(sys.stdlib_module_names) | {"numpy"}) - {
         "threading", "_thread", "concurrent", "multiprocessing"}
     outside = []

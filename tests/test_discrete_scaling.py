@@ -175,8 +175,7 @@ def test_sinkhorn_raises_on_non_finite_iterate():
 def test_overflowing_delta_is_not_converged():
     # delta overflows to inf, as does matrix_capacity's tol * s^2, and inf <= inf
     a = NonNegMatrix([[1e300, 1e-300, 0.0], [0.0, 1e-300, 1e300], [1.0, 0.0, 1e-300]])
-    with np.errstate(over="ignore"):
-        _, _, report = sinkhorn(a, np.inf)
+    _, _, report = sinkhorn(a, np.inf)
     assert report.final_delta == np.inf and not report.converged
     assert report.stop == "non-finite"
 
@@ -198,8 +197,7 @@ def test_sinkhorn_overflowing_transforms_stop_non_finite():
     # to 5e-324
     a = _c04_draw(404, 129)
     assert a.entries.shape == (4, 2)
-    with np.errstate(over="ignore"):
-        _, (x, y), report = sinkhorn(a, 1e-12 * size_of(a) ** 2, 2000)
+    _, (x, y), report = sinkhorn(a, 1e-12 * size_of(a) ** 2, 2000)
     assert np.isinf(x).any() and (x == 0.0).any() and y.min() == 5e-324
     assert (report.iterations, report.converged, report.stop) == (2000, False, "non-finite")
 

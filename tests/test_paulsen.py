@@ -221,8 +221,7 @@ def test_certify_perturbed_frames_statistically():
 
 def test_smoothed_exact_input_zero_iterations():
     fr = harmonic_frame(3, 30)
-    with pytest.warns(RuntimeWarning):
-        v, trace = solve_smoothed(fr, seed=0)
+    v, trace = solve_smoothed(fr, seed=0)
     assert trace.records == []
     assert not trace.downgraded
     assert dist(fr, v) <= 1e-20
@@ -230,8 +229,7 @@ def test_smoothed_exact_input_zero_iterations():
 
 def test_smoothed_demo_run_invariants():
     fr, _ = near_parseval_frame(3, 120, 0.01, 5)
-    with pytest.warns(RuntimeWarning):
-        v, trace = solve_smoothed(fr, seed=5)
+    v, trace = solve_smoothed(fr, seed=5)
     assert not trace.downgraded
     assert len(trace.records) >= 3
     delta0 = trace.records[0]["delta_before"]
@@ -258,12 +256,10 @@ def test_smoothed_endpoint_recording_gives_the_same_answer(seed, monkeypatch):
 
     monkeypatch.setattr(paulsen, "frame_flow", recorded_flow)
     fr, _ = near_parseval_frame(3, 60, 0.01, seed)
-    with pytest.warns(RuntimeWarning):
-        v, trace = solve_smoothed(fr, seed=seed)
+    v, trace = solve_smoothed(fr, seed=seed)
     ends, flows[:] = flows[:], []
     monkeypatch.setattr(paulsen, "SOLVE_FLOW_OPTIONS", FlowOptions())
-    with pytest.warns(RuntimeWarning):
-        v_full, trace_full = solve_smoothed(fr, seed=seed)
+    v_full, trace_full = solve_smoothed(fr, seed=seed)
     assert v.vectors.tobytes() == v_full.vectors.tobytes()
     assert dist(fr, v) == dist(fr, v_full)
     assert trace.records and trace.to_dict() == trace_full.to_dict()
@@ -281,8 +277,7 @@ def test_smoothed_downgrades_unbalanced_input():
     # the path preprocessing bound fails: delta exceeds d/16 after rescale
     s = size_of(fr)
     assert delta_of(Frame(vectors * np.sqrt(3.0 / s))) > 3.0 / 16.0
-    with pytest.warns(RuntimeWarning):
-        v, trace = solve_smoothed(fr, seed=2)
+    v, trace = solve_smoothed(fr, seed=2)
     assert trace.downgraded
     assert delta_of(v) <= 1e-12
     assert abs(size_of(v) - v.d) <= 1e-12 * max(1.0, v.d)
@@ -298,14 +293,13 @@ def test_smoothed_error_names_flow_status(monkeypatch):
 
     monkeypatch.setattr(paulsen, "frame_flow", collapsing)
     fr, _ = near_parseval_frame(3, 60, 0.01, 9)
-    with pytest.warns(RuntimeWarning), pytest.raises(FlowError, match="'collapsed'"):
+    with pytest.raises(FlowError, match="'collapsed'"):
         solve_smoothed(fr, seed=9)
 
 
 def test_smoothed_trace_export():
     fr, _ = near_parseval_frame(3, 60, 0.01, 9)
-    with pytest.warns(RuntimeWarning):
-        _, trace = solve_smoothed(fr, seed=9)
+    _, trace = solve_smoothed(fr, seed=9)
     doc = trace.to_dict()
     assert doc["schema_version"] == "1"
     assert doc["seed"] == 9
